@@ -38,12 +38,16 @@ class FastDevice:
         nq = geometry.n_queues
         self._open_row = np.full(nq, -1, dtype=np.int64)
         self._ready = np.zeros(nq, dtype=np.int64)
+        #: service_segmented calls that replayed one service() call per
+        #: segment instead of one fused pass (diagnostic only)
+        self.segmented_replays = 0
 
     def reset(self) -> None:
         self._open_row[:] = -1
         self._ready[:] = 0
         self.row_hits = 0
         self.row_conflicts = 0
+        self.segmented_replays = 0
 
     def state_dict(self) -> dict:
         """Persistent per-queue state (for checkpoint/resume)."""
@@ -82,8 +86,7 @@ class FastDevice:
             return np.zeros(0, dtype=np.int64)
         if np.any(np.diff(arrivals) < 0):
             raise SimulationError("arrivals must be non-decreasing")
-        latency, _ = self._service_core(addr, arrivals, writes, None)
-        return latency
+        return self._service_core(addr, arrivals, writes, None)
 
     def service_segmented(
         self,
@@ -98,14 +101,22 @@ class FastDevice:
 
         Semantically **bit-identical** to calling ``service`` once per
         segment ``[seg_starts[i], seg_starts[i+1])`` in order (the fused
-        epoch loop's contract). One fused pass is exact as long as the
-        finite-queue carry cap never binds at an interior segment
-        boundary — the sequential carry is ``min(depart, arrival + cap)``
-        per queue, and the fused Lindley recursion propagates the
-        uncapped departure. The fused pass detects any interior binding
-        and, in that (overloaded) case, restores the pre-call state and
-        replays the segments sequentially; configurations with the
-        per-call channel-bus stage always take the sequential path.
+        epoch loop's contract), in one sorted pass over all segments.
+        Between two calls the sequential path carries, per queue,
+        ``min(depart, arrival + cap)`` of the queue's last access, where
+        ``cap`` is the finite-queue ``max_queue_wait``. As long as that
+        cap never binds at an interior segment boundary, one Lindley
+        recursion over each queue is exact. When it binds, the pass
+        propagates the capped carry from block to block (a block is one
+        queue's accesses within one segment) and re-derives the
+        departures from it; see :meth:`_carry_capped_blocks`.
+
+        Two cases still replay the segments one :meth:`service` call at
+        a time, counted in :attr:`segmented_replays`: the per-call
+        channel-bus stage (``timing.channel_bus``), which restarts at
+        every call, and arrivals that go backwards across a segment
+        boundary. ``assume_monotone`` lets a caller that already checked
+        global monotonicity skip that check.
         """
         addr = np.asarray(addr, dtype=np.int64)
         arrivals = np.asarray(arrivals, dtype=np.int64)
@@ -119,27 +130,17 @@ class FastDevice:
             raise SimulationError("seg_starts must begin with 0")
         if seg_starts.size == 1:
             return self.service(addr, arrivals, writes)
-        if self.geometry.timing.channel_bus or (
-            not assume_monotone and bool(np.any(np.diff(arrivals) < 0))
+        if not self.geometry.timing.channel_bus and (
+            assume_monotone or not bool(np.any(np.diff(arrivals) < 0))
         ):
-            # the bus stage restarts at every service() call; only the
-            # sequential replay reproduces that per-call state exactly
-            # (likewise arrivals that regress across segment boundaries;
-            # ``assume_monotone`` lets a caller that already verified
-            # global monotonicity skip the re-check)
-            return self._service_per_segment(addr, arrivals, seg_starts, writes)
-        snapshot = (
-            self._open_row.copy(), self._ready.copy(),
-            self.row_hits, self.row_conflicts,
-        )
-        seg_of = np.repeat(
-            np.arange(seg_starts.size, dtype=np.int64),
-            np.diff(np.concatenate([seg_starts, [n]])),
-        )
-        latency, exact = self._service_core(addr, arrivals, writes, seg_of)
-        if exact:
-            return latency
-        self._open_row, self._ready, self.row_hits, self.row_conflicts = snapshot
+            seg_of = np.repeat(
+                np.arange(seg_starts.size, dtype=np.int64),
+                np.diff(np.concatenate([seg_starts, [n]])),
+            )
+            latency = self._service_core(addr, arrivals, writes, seg_of)
+            if latency is not None:
+                return latency
+        self.segmented_replays += 1
         return self._service_per_segment(addr, arrivals, seg_starts, writes)
 
     def _service_per_segment(self, addr, arrivals, seg_starts, writes):
@@ -154,15 +155,14 @@ class FastDevice:
                 )
         return latency
 
-    def _service_core(
-        self, addr, arrivals, writes, seg_of
-    ) -> tuple[np.ndarray, bool]:
+    def _service_core(self, addr, arrivals, writes, seg_of) -> np.ndarray | None:
         """The vectorised service pass over validated non-empty inputs.
 
-        With ``seg_of`` (per-access segment id), also reports whether the
-        fused result is exact w.r.t. per-segment sequential calls (see
-        :meth:`service_segmented`); callers guarantee ``channel_bus`` is
-        off in that mode.
+        With ``seg_of`` (per-access segment id) the pass is exact w.r.t.
+        one sequential call per segment (see :meth:`service_segmented`);
+        callers guarantee ``channel_bus`` is off in that mode. It returns
+        None, before touching any persistent state, only when the
+        capped-carry pass would overflow int64.
         """
         n = addr.shape[0]
         timing = self.geometry.timing
@@ -249,26 +249,29 @@ class FastDevice:
         run = np.maximum.accumulate(t, out=t)
         run -= shift
         depart = np.add(S, run, out=shift)  # shift buffer free
-        latency_sorted = np.subtract(depart, arr_sorted, out=S)  # S buffer free
         cap = timing.max_queue_wait
 
         if seg_of is not None:
-            # fused-exactness check: at a segment boundary the sequential
-            # path carries min(depart, arrival + cap) into the next
-            # segment while the fused recursion propagates the uncapped
-            # departure — they agree unless the cap binds at the last
-            # access of a queue *inside* an interior boundary.
-            # (latency_sorted is still the uncapped wait here.)
+            # at a segment boundary the sequential path carries
+            # min(depart, arrival + cap) into the next segment while the
+            # recursion above propagates the uncapped departure — they
+            # agree unless the cap binds at the last access of a queue
+            # *inside* an interior boundary
             seg_sorted = np.take(seg_of, order, out=run)  # run buffer free
             boundary = np.empty(n, dtype=bool)
             np.not_equal(seg_sorted[1:], seg_sorted[:-1], out=boundary[:-1])
             # bool a & ~b == a > b, without materialising ~b
             np.greater(boundary[:-1], first_of_queue[1:], out=boundary[:-1])
             b_idx = np.flatnonzero(boundary[:-1])
-            if b_idx.size and bool((latency_sorted[b_idx] > cap).any()):
-                # bail before mutating persistent state; caller replays
-                return latency_sorted, False
+            if b_idx.size and bool(
+                (depart[b_idx] - arr_sorted[b_idx] > cap).any()
+            ) and not self._carry_capped_blocks(
+                depart, S, service, arr_sorted, first_of_queue, f_idx, b_idx,
+                q_first, cap, scratch=run,
+            ):
+                return None
 
+        latency_sorted = np.subtract(depart, arr_sorted, out=S)  # S buffer free
         # finite-queue backpressure proxy: cap the reported queuing wait
         np.minimum(latency_sorted, service + cap, out=latency_sorted)
 
@@ -326,7 +329,74 @@ class FastDevice:
             latency += arrivals  # = useful-domain departures, input order
             latency = self._refresh.wall_np(latency)
             latency -= wall_arrivals
-        return latency, True
+        return latency
+
+    def _carry_capped_blocks(
+        self, depart, S, service, arr_sorted, first_of_queue, f_idx, b_idx,
+        q_first, cap, *, scratch,
+    ) -> bool:
+        """Rewrite ``depart`` (queue-sorted) with the sequential carries.
+
+        A block is one queue's run of accesses within one segment. Let
+        ``S`` be a block's service sum and ``M`` the departure of its
+        last access when nothing is carried in. The carry ``x`` into
+        the queue's next block then follows the sequential path exactly:
+        ``x' = min(max(x + S, M), a_last + cap)``. That recursion runs
+        one step per block rank, vectorised across queues, and every
+        access departs at ``S_i + max(x - base, c_i)``, where ``base``
+        is the queue-local service sum before the block and ``c_i`` the
+        block-local running max of ``a_j - S_{j-1}``. ``S`` (the input
+        array) is the queue-local inclusive service cumsum.
+
+        Returns False, with ``depart`` untouched, when the block-offset
+        running max would overflow int64.
+        """
+        n = depart.shape[0]
+        starts = np.sort(np.concatenate([f_idx, b_idx + 1]))
+        n_blocks = starts.size
+        lengths = np.diff(starts, append=n)
+        ends = starts + lengths - 1
+        t = np.subtract(arr_sorted, S, out=scratch)
+        t += service  # a_i - S_{i-1}
+        lo, hi = int(t.min()), int(t.max())
+        BIG = hi - lo + 1
+        if hi + (n_blocks - 1) * BIG > np.iinfo(np.int64).max:
+            return False
+        # block-segmented running max, by the same offset trick as the
+        # queue-segmented one in _service_core
+        shift = np.repeat(np.arange(n_blocks, dtype=np.int64) * BIG, lengths)
+        t += shift
+        np.maximum.accumulate(t, out=t)
+        t -= shift
+        del shift
+        base = S[starts] - service[starts]
+        s_blk = S[ends] - base
+        m_blk = S[ends] + t[ends]
+        lim_blk = arr_sorted[ends] + cap
+
+        # (rank within queue, queue column) grids; padding is the
+        # identity step x' = min(max(x + 0, -inf), +inf)
+        q_start = first_of_queue[starts]
+        col = np.cumsum(q_start) - 1
+        rank = np.arange(n_blocks) - np.flatnonzero(q_start)[col]
+        shape = (int(rank.max()) + 1, f_idx.size)
+        s_grid = np.zeros(shape, dtype=np.int64)
+        s_grid[rank, col] = s_blk
+        m_grid = np.full(shape, np.iinfo(np.int64).min, dtype=np.int64)
+        m_grid[rank, col] = m_blk
+        lim_grid = np.full(shape, np.iinfo(np.int64).max, dtype=np.int64)
+        lim_grid[rank, col] = lim_blk
+        x_grid = np.empty(shape, dtype=np.int64)
+        x = self._ready[q_first]  # fancy index: a fresh copy
+        for k in range(shape[0]):
+            x_grid[k] = x
+            x += s_grid[k]
+            np.maximum(x, m_grid[k], out=x)
+            np.minimum(x, lim_grid[k], out=x)
+
+        np.maximum(t, np.repeat(x_grid[rank, col] - base, lengths), out=t)
+        np.add(S, t, out=depart)
+        return True
 
     @property
     def row_hit_rate(self) -> float:

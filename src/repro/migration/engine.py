@@ -574,8 +574,8 @@ class MigrationEngine:
         live = cfg.algorithm == MigrationAlgorithm.LIVE
 
         # an armed abort fires at a chosen copy step (one-shot); the
-        # snapshot makes plan application transactional, so a torn swap
-        # rolls back instead of leaving a half-written table
+        # undo record makes plan application transactional, so a torn
+        # swap rolls back instead of leaving a half-written table
         abort_at: int | None = None
         abort_subblocks = 0
         if self._abort_at_step is not None:
@@ -584,7 +584,9 @@ class MigrationEngine:
             abort_subblocks = self._abort_subblocks
             self._abort_at_step = None
             self._abort_subblocks = 0
-        snapshot = self.table.state_dict()
+        undo = self.table.undo_record(
+            op for s in plan.steps if isinstance(s, TableUpdate) for op in s.ops
+        )
 
         affected = self._affected_pages(plan)
         # walk the plan, applying updates eagerly and recording when each
@@ -673,10 +675,10 @@ class MigrationEngine:
             recovered = False
             if self.resilience.data_safe_abort:
                 end = self._recover_abort(
-                    now, t, snapshot, executed, shadow_ops, exc
+                    now, t, undo, executed, shadow_ops, exc
                 )
                 # the copy-back window stalls execution like an N-design
-                # exchange; the table is already back at the snapshot
+                # exchange; the table is already back at its pre-swap state
                 self.active = ActiveMigration(
                     plan=plan, start=now, end=end, fill=None, timelines={},
                     recovery=True,
@@ -691,7 +693,7 @@ class MigrationEngine:
                     for _, kind, payload in shadow_ops:
                         if kind == "copy":
                             self.shadow.apply_copy(*payload)
-                self.table.load_state_dict(snapshot)
+                self.table.undo(undo)
             raise SwapAbortError(str(exc), recovered=recovered) from exc
 
         if plan.stall:
@@ -913,7 +915,7 @@ class MigrationEngine:
         self,
         now: int,
         t_abort: int,
-        snapshot: dict,
+        undo: dict,
         executed: list[tuple],
         shadow_ops: list[tuple[int, str, tuple]],
         exc: Exception,
@@ -933,13 +935,14 @@ class MigrationEngine:
         execution exactly like an N-design exchange. Returns the cycle
         the copy-back window closes.
         """
-        pre = TranslationTable(
+        torn = TranslationTable(
             self.amap, reserve_empty_slot=self.table._reserve_empty_slot,
             reserved_pages=self.table.reserved_pages,
         )
-        pre.load_state_dict(snapshot)
+        torn.load_state_dict(self.table.state_dict())
+        self.table.undo(undo)  # the pre-swap table, restored in place
         try:
-            steps = recovery_plan(pre, executed, prefer_table=self.table)
+            steps = recovery_plan(self.table, executed, prefer_table=torn)
         except (MigrationError, TranslationTableError):  # pragma: no cover
             # unrepairable mid-state; fall back to bare rollback (the
             # shadow, if tracking, will expose whatever was lost)
@@ -953,7 +956,6 @@ class MigrationEngine:
                     self.shadow.apply_copy(*payload)
             for step in steps:
                 self.shadow.apply_copy(step.src, step.dst)
-        self.table.load_state_dict(snapshot)
         end = t_abort
         for s in steps:
             end += self._copy_duration(end, s)

@@ -116,35 +116,40 @@ class EpochMonitor:
         self._off_last = off_last
 
     def coldest_slot(self, exclude: set[int] | None = None) -> int:
-        """Slot with the oldest last touch (never-touched slots first)."""
-        order = np.lexsort((np.arange(self.n_slots), self.slot_last_touch))
-        if exclude:
-            for s in order:
-                if int(s) not in exclude:
-                    return int(s)
+        """Slot with the oldest last touch (never-touched slots first),
+        lowest slot id among ties."""
+        touch = self.slot_last_touch
+        if not exclude:
+            return int(np.argmin(touch))
+        allowed = np.ones(self.n_slots, dtype=bool)
+        allowed[[s for s in exclude if 0 <= s < self.n_slots]] = False
+        candidates = np.flatnonzero(allowed)
+        if candidates.size == 0:
             raise MigrationError("all slots excluded")
-        return int(order[0])
+        # argmin returns the first of equal minima: the lowest slot id
+        return int(candidates[np.argmin(touch[candidates])])
 
     def hottest_page(self, wear_penalty=None) -> tuple[int, int] | None:
         """``(page, epoch_count)`` of the hottest off-package page.
 
-        ``wear_penalty`` (RAS wear leveling) maps a page array to a
-        per-page score penalty: candidates are ranked by
-        ``count - penalty`` so a worn-out machine page loses the swap
-        even when slightly hotter. The *returned* count is always the
-        raw epoch count, so the hottest-coldest trigger comparison is
-        unchanged. ``None`` keeps the selection bit-identical to the
-        endurance-blind ranking.
+        Highest count wins, then the most recent touch, then the last
+        entry of the page list. ``wear_penalty`` (RAS wear leveling)
+        maps a page array to a finite per-page score penalty: candidates
+        are then ranked by ``count - penalty`` so a worn-out machine
+        page loses the swap even when slightly hotter. The *returned*
+        count is always the raw epoch count, so the hottest-coldest
+        trigger comparison is unchanged. ``None`` keeps the selection
+        bit-identical to the endurance-blind ranking.
         """
         if self._off_pages.size == 0:
             return None
-        if wear_penalty is None:
-            # highest count, most recent touch breaking ties
-            idx = np.lexsort((self._off_last, self._off_counts))[-1]
-        else:
-            score = self._off_counts.astype(np.float64)
+        score = self._off_counts
+        if wear_penalty is not None:
+            score = score.astype(np.float64)
             score -= np.asarray(wear_penalty(self._off_pages), dtype=np.float64)
-            idx = np.lexsort((self._off_last, score))[-1]
+        top = np.flatnonzero(score == score.max())
+        last = self._off_last[top]
+        idx = top[last == last.max()][-1]
         return int(self._off_pages[idx]), int(self._off_counts[idx])
 
     def slot_epoch_count(self, slot: int) -> int:

@@ -566,6 +566,66 @@ class TranslationTable:
             "remap": dict(self.remap),
         }
 
+    #: update methods a swap plan may name, whose first argument is the
+    #: slot they write (set_pair's second argument is the mapped page)
+    _ROW_OPS = frozenset({"set_pair", "set_empty", "set_pending", "begin_fill"})
+
+    def undo_record(self, ops) -> dict:
+        """Everything the update ``ops`` (``(method, args)`` pairs) and
+        :meth:`end_fill` can write, for an in-place :meth:`undo`.
+
+        Those methods write the rows they name, the CAM and dense-mirror
+        entries of each row's home page, of its occupant at write time
+        and of the page ``set_pair`` maps there, and the fill state. An
+        occupant at write time is either the row's occupant now or a
+        page an earlier ``set_pair`` of the same ops mapped, so the
+        record covers them all at a cost linear in ``ops``, not in the
+        table size. A swap plan starts with no fill in progress, as
+        :meth:`begin_fill` requires.
+        """
+        slots: set[int] = set()
+        pages: set[int] = set()
+        for method, args in ops:
+            if method not in self._ROW_OPS:
+                raise TranslationTableError(f"no undo record for {method!r}")
+            slots.add(int(args[0]))
+            if method == "set_pair":
+                pages.add(int(args[1]))
+        rows = np.array(sorted(slots), dtype=np.int64)
+        pages.update(slots)
+        pages.update(int(p) for p in self.pair[rows])
+        pages.discard(EMPTY)
+        page_arr = np.array(sorted(pages), dtype=np.int64)
+        return {
+            "rows": rows,
+            "pair": self.pair[rows],
+            "p_bit": self.p_bit[rows],
+            "f_bit": self.f_bit[rows],
+            "pages": page_arr,
+            "slot_of": [self._slot_of.get(p) for p in page_arr.tolist()],
+            "machine_of": self.machine_of[page_arr],
+            "onpkg": self.onpkg[page_arr],
+            "fill_bitmap": self.fill_bitmap.copy(),
+            "fill": (self._filling_slot, self._fill_page, self._fill_source),
+        }
+
+    def undo(self, record: dict) -> None:
+        """Roll back, in place, to the state :meth:`undo_record` saw."""
+        rows, pages = record["rows"], record["pages"]
+        self.pair[rows] = record["pair"]
+        self.p_bit[rows] = record["p_bit"]
+        self.f_bit[rows] = record["f_bit"]
+        for page, slot in zip(pages.tolist(), record["slot_of"]):
+            if slot is None:
+                self._slot_of.pop(page, None)
+            else:
+                self._slot_of[page] = slot
+        self.machine_of[pages] = record["machine_of"]
+        self.onpkg[pages] = record["onpkg"]
+        self.fill_bitmap[:] = record["fill_bitmap"]
+        self._filling_slot, self._fill_page, self._fill_source = record["fill"]
+        self._empty_cache_valid = False
+
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (same geometry assumed)."""
         if state["pair"].shape[0] != self.n_slots:

@@ -84,6 +84,12 @@ def assert_identical(cfg, trace, *, migrate=True, chunks=1, arm=None):
     assert r_fused.stepwise_epochs == 0
     assert r_plain.fused_epochs == 0
     assert r_fused.fused_epochs == r_plain.stepwise_epochs
+    # nor may a flush replay its segments one service() call at a time,
+    # except for the per-call channel-bus stage
+    ctrl = fused.simulator.controller
+    for dev in (ctrl.onpkg_model.device, ctrl.offpkg_model.device):
+        if not dev.geometry.timing.channel_bus:
+            assert dev.segmented_replays == 0
     return r_fused
 
 
@@ -123,13 +129,26 @@ class TestVariants:
         assert_identical(_cfg(swap_interval=25_000), _trace())
 
     def test_tiny_queue_wait_forces_fallback(self):
-        # a tiny cap makes the boundary-binding check fire, forcing the
-        # fused flush to fall back to per-segment servicing — results
-        # must still be identical
+        # a tiny cap binds at interior segment boundaries, so the fused
+        # flush must carry the capped backlog from block to block
+        # instead of propagating the uncapped departure — results must
+        # still be identical, with no per-segment replay
         base = _cfg()
         timing = dataclasses.replace(base.offpkg_dram, max_queue_wait=8)
         cfg = dataclasses.replace(base, offpkg_dram=timing)
         assert_identical(cfg, _trace(n=30_000))
+
+    def test_channel_bus_replays_per_segment(self):
+        # the bus stage restarts at every service() call, so this is
+        # the one configuration whose flushes still replay each segment
+        base = _cfg()
+        timing = dataclasses.replace(base.offpkg_dram, channel_bus=True)
+        cfg = dataclasses.replace(base, offpkg_dram=timing)
+        mems = []
+        assert_identical(cfg, _trace(n=30_000), arm=mems.append)
+        ctrl = mems[0].simulator.controller
+        assert ctrl.offpkg_model.device.segmented_replays > 0
+        assert ctrl.onpkg_model.device.segmented_replays == 0
 
     def test_empty_and_tiny_traces(self):
         cfg = _cfg()

@@ -125,3 +125,63 @@ class TestEpochMonitor:
         untouched = set(range(n_slots)) - set(slots)
         if untouched:
             assert cold in untouched
+
+
+def _lexsort_coldest(touch, exclude):
+    """The full-sort ranking the monitor's coldest_slot must reproduce."""
+    for s in np.lexsort((np.arange(touch.shape[0]), touch)):
+        if int(s) not in exclude:
+            return int(s)
+    return None
+
+
+def _lexsort_hottest(counts, last, penalty):
+    score = counts if penalty is None else counts.astype(np.float64) - penalty
+    return int(np.lexsort((last, score))[-1])
+
+
+class TestLinearSelection:
+    """coldest_slot / hottest_page select in O(n) exactly what a full
+    lexsort ranking selects, ties and exclusions included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-1, 4), min_size=1, max_size=24),
+        st.sets(st.integers(-2, 26), max_size=24),
+    )
+    def test_coldest_matches_lexsort(self, touch, exclude):
+        m = EpochMonitor(len(touch))
+        m.slot_last_touch[:] = touch
+        want = _lexsort_coldest(np.array(touch, dtype=np.int64), exclude)
+        if want is None:
+            with pytest.raises(MigrationError):
+                m.coldest_slot(exclude=exclude)
+        else:
+            assert m.coldest_slot(exclude=exclude) == want
+        if not exclude:
+            assert m.coldest_slot() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 4), st.integers(0, 3),
+                      st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+            min_size=1, max_size=30,
+        ),
+        st.booleans(),
+    )
+    def test_hottest_matches_lexsort(self, rows, with_penalty):
+        counts = np.array([r[0] for r in rows], dtype=np.int64)
+        last = np.array([r[1] for r in rows], dtype=np.int64)
+        pages = np.arange(len(rows), dtype=np.int64) * 3 + 100
+        penalty = np.array([r[2] for r in rows]) if with_penalty else None
+        m = EpochMonitor(2)
+        m.fold_epoch(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                     pages, counts, last)
+        by_page = None if penalty is None else (
+            lambda p: penalty[(np.asarray(p) - 100) // 3]
+        )
+        want = _lexsort_hottest(counts, last, penalty)
+        assert m.hottest_page(wear_penalty=by_page) == (
+            int(pages[want]), int(counts[want])
+        )
