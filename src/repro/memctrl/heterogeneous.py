@@ -196,6 +196,11 @@ class HeterogeneousController:
         if offsets is None:
             offsets = self.amap.offset_of(chunk.addr)
         times = chunk.time
+        if np.any(times[1:] < times[:-1]):
+            # checked on the original times, before the shadow consumes
+            # them or a stall moves them: a stall maps every time in its
+            # window to the window's end, which would hide an inversion
+            raise SimulationError("chunk times must be non-decreasing")
         writes = chunk.rw != 0
         if self.shadow is not None:
             # the shadow checks at *original* access times: a stalled
@@ -216,11 +221,6 @@ class HeterogeneousController:
             stalled = (times >= active.start) & (times < active.end)
             stall_extra[stalled] = active.end - times[stalled]
             times = times + stall_extra  # issue after the stall
-
-        if np.any(np.diff(times) < 0):
-            # stalls only push times forward to a common floor, so order
-            # is preserved; anything else is a caller bug
-            raise SimulationError("chunk times must be non-decreasing")
 
         n_on = int(np.count_nonzero(on))
         if n_on:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.config import MigrationConfig, SystemConfig
+from repro.datamodel import ShadowMemory
+from repro.errors import SimulationError
 from repro.memctrl.conventional import ConventionalController
 from repro.memctrl.heterogeneous import HeterogeneousController
 from repro.memctrl.routing import RegionRouter
@@ -148,6 +150,32 @@ class TestHeterogeneous:
         stalled = make_chunk(np.array([0]), time=np.array([active.start + 10]))
         lat, _, _ = ctrl.service_chunk(stalled, engine.table, active)
         assert lat[0] >= active.end - (active.start + 10)
+
+    def test_out_of_order_pair_inside_stall_window_rejected(self):
+        """The stall maps both times to the window's end, so the order
+        check must run on the original times, before the shadow."""
+        cfg = small_system().with_migration(algorithm="N")
+        ctrl = HeterogeneousController(cfg)
+        engine = MigrationEngine(cfg.address_map(), cfg.migration, cfg.bus)
+        ctrl.shadow = ShadowMemory(engine.table)
+        hot = 20
+        engine.observe_epoch(
+            slots=np.array([], dtype=np.int64),
+            slot_times=np.array([], dtype=np.int64),
+            offpkg_pages=np.full(5, hot), off_times=np.arange(5),
+            off_subblocks=np.zeros(5, dtype=np.int64),
+        )
+        engine.maybe_swap(now=1000)
+        active = engine.active
+        assert active.stall and active.end - active.start > 20
+        chunk = make_chunk(
+            np.array([0, 0]), time=np.array([active.start + 20, active.start + 10]),
+            validate=False,
+        )
+        with pytest.raises(SimulationError, match="non-decreasing"):
+            ctrl.service_chunk(chunk, engine.table, active)
+        assert ctrl.shadow.reads == ctrl.shadow.writes == 0
+        assert ctrl.accesses == 0
 
     def test_offpkg_interference_during_migration(self):
         cfg = small_system()
