@@ -348,9 +348,9 @@ class RASConfig:
     predictive page retirement, and off-package write-endurance.
 
     Everything defaults off (``enabled=False``); the simulator's default
-    path — including the fused fast path and every published number —
-    is bit-identical unless a run opts in. With ``enabled=True`` the
-    simulator runs stepwise and attaches a
+    path — including its once-per-chunk DRAM flush and every published
+    number — is bit-identical unless a run opts in. With
+    ``enabled=True`` the simulator flushes every epoch and attaches a
     :class:`~repro.ras.controller.RasController`.
     """
 
@@ -429,8 +429,8 @@ class RASConfig:
 class DisturbConfig:
     """Row-disturbance (rowhammer) modelling knobs — all opt-in.
 
-    With ``enabled=True`` the simulator runs stepwise and attaches a
-    :class:`~repro.ras.disturb.DisturbController`: per-row activation
+    With ``enabled=True`` the simulator flushes every epoch and attaches
+    a :class:`~repro.ras.disturb.DisturbController`: per-row activation
     telemetry (leaky buckets, like the RAS CE telemetry) watches every
     bank's activate stream; rows whose buckets cross ``act_threshold``
     between refreshes flip bits in their physical neighbours, visible to

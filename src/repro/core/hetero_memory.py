@@ -42,12 +42,10 @@ class HeterogeneousMainMemory:
     """On-package + off-package main memory with dynamic migration."""
 
     def __init__(self, config: SystemConfig | None = None, *, migrate: bool = True,
-                 detailed_dram: bool = False, fused: bool = True,
                  track_data: bool = False):
         self.config = config or SystemConfig()
         self.simulator = EpochSimulator(
-            self.config, migrate=migrate, detailed_dram=detailed_dram,
-            fused=fused, track_data=track_data,
+            self.config, migrate=migrate, track_data=track_data
         )
 
     def run(self, trace: TraceChunk) -> SimulationResult:

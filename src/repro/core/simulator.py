@@ -2,10 +2,15 @@
 
 The trace is consumed in epochs of ``swap_interval`` accesses (the
 paper's swap-trigger unit). Within an epoch everything is vectorised:
-translation via the table's dense mirrors, region split, per-region
-DRAM service, with per-access-time overrides for the (at most one)
-in-flight migration. At each epoch boundary the migration engine
-evaluates the hottest-coldest trigger.
+translation via the table's dense mirrors and region split, with
+per-access-time overrides for the (at most one) in-flight migration.
+At each epoch boundary the migration engine evaluates the
+hottest-coldest trigger. Latency never feeds back into that control
+pass, so DRAM service is deferred to one segmented flush per trace
+chunk — unless a boundary hook reads device state or the epoch's
+finished latency, in which case each epoch is flushed at its own
+boundary. The config alone decides which (see
+:meth:`EpochSimulator._run_epochs`).
 
 Resilience hooks (all governed by :class:`~repro.config.ResilienceConfig`
 and off by default) run at the same boundary: seeded fault injection via
@@ -29,7 +34,7 @@ if TYPE_CHECKING:
 from ..config import SystemConfig
 from ..dram.refresh import RefreshSchedule
 from ..errors import SimulationError, TranslationTableError, WatchdogError
-from ..memctrl.heterogeneous import HeterogeneousController
+from ..memctrl.heterogeneous import ONE_SEGMENT, HeterogeneousController
 from ..migration.engine import MigrationEngine
 from ..resilience.degradation import (
     AUDIT_FAILED,
@@ -61,8 +66,9 @@ class SimulationResult:
     cross_boundary_migrated_bytes: int = 0
     #: per-epoch mean latency series (for convergence plots)
     epoch_latency: list[float] = field(default_factory=list)
-    #: how many epochs ran through each execution path (the fused fast
-    #: path must cover migration-active epochs; see bench_throughput)
+    #: how each epoch's DRAM service ran: in the chunk's one
+    #: multi-epoch flush, or flushed at the epoch's own boundary because
+    #: RAS, row disturbance or the watchdog reads device state there
     fused_epochs: int = 0
     stepwise_epochs: int = 0
     #: row-buffer hit rates observed by each region's device
@@ -115,20 +121,33 @@ class SimulationResult:
         return 1.0 - self.onpkg_fraction
 
 
+def _tally(
+    result: SimulationResult, latency: np.ndarray, on: np.ndarray,
+    seg_starts: np.ndarray,
+) -> None:
+    """Fold one flush's per-access latencies into ``result``."""
+    n = latency.shape[0]
+    n_on = int(np.count_nonzero(on))
+    result.n_accesses += n
+    result.total_latency += int(latency.sum())
+    result.onpkg_accesses += n_on
+    result.offpkg_accesses += n - n_on
+    # per-epoch means: int64 epoch sums stay far below 2**53, so the
+    # float64 division matches np.mean on the per-epoch slice bitwise
+    epoch_sums = np.add.reduceat(latency, seg_starts)
+    lens = np.diff(np.append(seg_starts, n))
+    result.epoch_latency.extend((epoch_sums / lens).tolist())
+
+
 class EpochSimulator:
     """Vectorised trace-driven simulator (the workhorse)."""
 
     def __init__(self, config: SystemConfig, *, migrate: bool = True,
-                 detailed_dram: bool = False, fused: bool = True,
                  track_data: bool = False):
         self.config = config
         self.migrate = migrate
-        self.detailed_dram = detailed_dram
-        #: allow the fused multi-epoch fast path (bit-identical; the flag
-        #: exists so equivalence tests and benchmarks can force either path)
-        self.fused = fused
         self.controller = HeterogeneousController(
-            config, detailed=detailed_dram, translation_overhead=migrate
+            config, translation_overhead=migrate
         )
         amap = config.address_map()
         self.engine = MigrationEngine(
@@ -148,8 +167,7 @@ class EpochSimulator:
 
             self._ras = RasController(config, self.engine, self.controller)
         #: optional data-content shadow memory (pure bookkeeping: it
-        #: never feeds back into routing or timing, but it does force
-        #: the stepwise epoch loop)
+        #: never feeds back into routing or timing)
         self.shadow = None
         if track_data:
             self._attach_shadow()
@@ -164,6 +182,14 @@ class EpochSimulator:
             )
             self._disturb.ras = self._ras
             self._disturb.shadow = self.shadow
+        #: patrol scrub and victim refresh read through the devices, and
+        #: the watchdog needs the finished epoch latency: each of these
+        #: flushes DRAM service at every epoch boundary
+        self._flush_each_epoch = bool(
+            config.ras.enabled
+            or config.disturb.enabled
+            or config.resilience.epoch_cycle_budget
+        )
         self._sb_shift = log2_exact(config.migration.subblock_bytes)
         self._last_time = -(1 << 62)
         self._epoch_index = 0
@@ -226,27 +252,6 @@ class EpochSimulator:
             self.run_into(chunk, result)
         return result
 
-    def _should_fuse(self) -> bool:
-        """Whether the fused multi-epoch fast path applies.
-
-        The fused path defers all DRAM servicing to one segmented flush;
-        anything that consumes per-epoch latency at the boundary (fault
-        plans, watchdog budgets, table audits) or a device without the
-        segmented entry point forces the stepwise loop.
-        """
-        resilience = self.config.resilience
-        return (
-            self.fused
-            and self._fault_plan is None
-            and self.shadow is None
-            and self._ras is None
-            and self._disturb is None
-            and not resilience.audit_interval
-            and not resilience.epoch_cycle_budget
-            and hasattr(self.controller.onpkg_model.device, "service_segmented")
-            and hasattr(self.controller.offpkg_model.device, "service_segmented")
-        )
-
     def run_into(self, trace: TraceChunk, result: SimulationResult) -> None:
         n = len(trace)
         if n and int(trace.time[0]) < self._last_time:
@@ -268,10 +273,7 @@ class EpochSimulator:
                         "trace touches a reserved RAS spare page; spares "
                         "are controller-private and carry no program data"
                     )
-            if self._should_fuse():
-                self._run_fused(trace, result)
-            else:
-                self._run_epochwise(trace, result)
+            self._run_epochs(trace, result)
             result.duration_cycles += int(trace.time[-1]) - duration_ref
         result.swaps_suppressed_busy = self.engine.swaps_suppressed_busy
         result.swaps_suppressed_cold = self.engine.swaps_suppressed_cold
@@ -290,126 +292,24 @@ class EpochSimulator:
         if self._disturb is not None:
             result.disturb = self._disturb.report()
 
-    def _run_epochwise(self, trace: TraceChunk, result: SimulationResult) -> None:
-        """Reference per-epoch loop (resilience hooks live here)."""
-        interval = self.config.migration.swap_interval
-        resilience = self.config.resilience
-        amap = self.controller.amap
-        n = len(trace)
-        # derive per-access arrays once per chunk; epochs take views
-        pages_all = amap.page_of(trace.addr)
-        offsets_all = amap.offset_of(trace.addr)
-        subblocks_all = offsets_all >> self._sb_shift
-        result.stepwise_epochs += -(-n // interval) if n else 0
-        for start in range(0, n, interval):
-            stop = min(start + interval, n)
-            epoch = trace[start:stop]
-            t0 = int(epoch.time[0])
-            epoch_index = self._epoch_index
-            self._epoch_index += 1
+    def _run_epochs(self, trace: TraceChunk, result: SimulationResult) -> None:
+        """The epoch loop.
 
-            pending_dram_errors = 0
-            if self._fault_plan is not None:
-                pending_dram_errors = self._apply_faults(epoch_index, t0, result)
-
-            active = self.engine.active
-            if active is not None and active.end <= t0:
-                active = None  # finished before this epoch: mirrors suffice
-
-            latency, on, machine = self.controller.service_chunk(
-                epoch, self.engine.table, active,
-                pages=pages_all[start:stop],
-                offsets=offsets_all[start:stop],
-                subblocks=subblocks_all[start:stop],
-            )
-            now = int(epoch.time[-1]) + 1
-            epoch_cycles = int(latency.sum())
-            if pending_dram_errors:
-                epoch_cycles += self._run_ecc(
-                    pending_dram_errors, epoch_index, now, result
-                )
-
-            n_on = int(np.count_nonzero(on))
-            if self._ras is not None:
-                # CE correction + patrol-scrub cycles count against this
-                # epoch (and its watchdog budget); a retirement's copy-out
-                # instead stalls subsequent accesses via the engine
-                epoch_cycles += self._ras.end_epoch(
-                    epoch_index, now,
-                    machine=machine, on=on, writes=epoch.rw != 0,
-                    n_on=n_on, n_total=len(epoch),
-                )
-
-            if self._disturb is not None:
-                # activation folding + the mitigation ladder; victim
-                # refreshes and throttling charge this epoch's cycles,
-                # escalation rides the RAS/migration machinery instead
-                epoch_cycles += self._disturb.end_epoch(
-                    epoch_index, now,
-                    pages=pages_all[start:stop], machine=machine, on=on,
-                    offsets=offsets_all[start:stop],
-                )
-
-            if resilience.epoch_cycle_budget and (
-                epoch_cycles > resilience.epoch_cycle_budget
-            ):
-                detail = (
-                    f"epoch {epoch_index} (t=[{t0}, {now})) spent "
-                    f"{epoch_cycles} cycles, budget "
-                    f"{resilience.epoch_cycle_budget}"
-                )
-                if resilience.watchdog_action == "raise":
-                    raise WatchdogError(detail)
-                self._events.append(
-                    DegradationEvent(
-                        time=now, epoch=epoch_index, kind=WATCHDOG_BREACH,
-                        detail=detail, recovered=True,
-                    )
-                )
-
-            result.n_accesses += len(epoch)
-            result.total_latency += epoch_cycles
-            result.onpkg_accesses += n_on
-            result.offpkg_accesses += len(epoch) - n_on
-            result.epoch_latency.append(float(latency.mean()))
-
-            if resilience.audit_interval and (
-                (epoch_index + 1) % resilience.audit_interval == 0
-            ):
-                self._audit(epoch_index, now)
-
-            if self.migrate:
-                if not self.engine.quarantined:
-                    pages = pages_all[start:stop]
-                    times = epoch.time
-                    on_idx = np.flatnonzero(on)
-                    off_idx = np.flatnonzero(~on)
-                    # on-package observations are per *slot*; slots == machine page
-                    self.engine.observe_epoch(
-                        slots=machine[on_idx],
-                        slot_times=times[on_idx],
-                        offpkg_pages=pages[off_idx],
-                        off_times=times[off_idx],
-                        off_subblocks=subblocks_all[start:stop][off_idx],
-                    )
-                decision = self.engine.maybe_swap(now)
-                if decision.triggered:
-                    result.swaps_triggered += 1
-            self._last_time = int(epoch.time[-1])
-
-    def _run_fused(self, trace: TraceChunk, result: SimulationResult) -> None:
-        """Fused fast path: run the per-epoch *control* pass (resolution,
-        stall windows, monitor updates, swap trigger) with deferred DRAM
-        servicing, then flush every access through each region's device
-        in one segmented call whose segments are the epoch boundaries.
-
-        Bit-identical to :meth:`_run_epochwise` because latency never
-        feeds back into control flow — trigger decisions depend only on
-        address resolution, access times and monitor state — and
-        :meth:`~repro.dram.fastmodel.FastDevice.service_segmented`
-        guarantees per-segment-exact device behaviour.
+        Each epoch runs its control pass in order: fault plan, routing
+        (:meth:`~repro.memctrl.heterogeneous.HeterogeneousController.prepare_into`:
+        resolution, shadow memory, stall and interference), ECC, audit,
+        monitor fold and swap trigger. DRAM servicing is deferred to one
+        segmented flush per chunk whose segments are the epoch
+        boundaries. That is exact because latency never feeds back into
+        control flow and
+        :meth:`~repro.dram.fastmodel.FastDevice.service_segmented` is
+        exact per segment. When a boundary hook reads device state or
+        the epoch's finished latency (RAS, row disturbance, the watchdog)
+        each epoch is flushed at its own boundary instead, before the
+        hooks run.
         """
         interval = self.config.migration.swap_interval
+        resilience = self.config.resilience
         amap = self.controller.amap
         engine = self.engine
         n = len(trace)
@@ -421,8 +321,8 @@ class EpochSimulator:
         subblocks_all = offsets_all >> self._sb_shift
         writes_all = trace.rw != 0
         if np.any(np.diff(times_all) < 0):
-            # stalls only floor times to a common value, so this global
-            # check covers every epoch the stepwise loop would check
+            # checked on the original times, before the shadow consumes
+            # them or a stall floors them to a common value
             raise SimulationError("chunk times must be non-decreasing")
         # effective arrival times: aliases times_all until a stall window
         # actually has to push accesses forward (N design only)
@@ -430,76 +330,116 @@ class EpochSimulator:
         on_all = np.empty(n, dtype=bool)
         machine_all = np.empty(n, dtype=np.int64)
         extra = np.zeros(n, dtype=np.int64)  # stall + interference cycles
-        interference = self.config.migration.interference_cycles
 
         epoch_starts = np.arange(0, n, interval, dtype=np.int64)
-        result.fused_epochs += int(epoch_starts.shape[0])
+        if self._flush_each_epoch:
+            result.stepwise_epochs += int(epoch_starts.shape[0])
+        else:
+            result.fused_epochs += int(epoch_starts.shape[0])
         for start in range(0, n, interval):
-            stop = min(start + interval, n)
-            t0 = int(times_all[start])
+            ep = slice(start, min(start + interval, n))
+            tview = times_all[ep]
+            t0 = int(tview[0])
+            now = int(tview[-1]) + 1
+            epoch_index = self._epoch_index
             self._epoch_index += 1
+
+            dram_errors = 0
+            if self._fault_plan is not None:
+                dram_errors = self._apply_faults(epoch_index, t0, result)
 
             active = engine.active
             if active is not None and active.end <= t0:
                 active = None  # finished before this epoch: mirrors suffice
 
-            tview = times_all[start:stop]
-            on = on_all[start:stop]
-            machine = machine_all[start:stop]
-            self.controller.resolve_into(
-                pages_all[start:stop], tview, subblocks_all[start:stop],
-                engine.table, active, on, machine,
+            on = on_all[ep]
+            machine = machine_all[ep]
+            stalled = self.controller.prepare_into(
+                pages_all[ep], tview, subblocks_all[ep], writes_all[ep],
+                engine.table, active, on, machine, extra[ep],
             )
+            if stalled is not None:
+                if eff_times is times_all:
+                    eff_times = times_all.copy()  # repro-lint: disable=hot-path-copy - copy-on-write, at most once per chunk
+                eff_times[ep][stalled] = active.end
 
-            if active is not None:
-                if active.stall:
-                    # N design: execution halts while the swap copies data;
-                    # stalled accesses issue together at the stall's end
-                    stalled = (tview >= active.start) & (tview < active.end)
-                    if stalled.any():
-                        if eff_times is times_all:
-                            eff_times = times_all.copy()  # repro-lint: disable=hot-path-copy - copy-on-write, at most once per chunk
-                        extra[start:stop][stalled] = active.end - tview[stalled]
-                        eff_times[start:stop][stalled] = active.end
-                else:
-                    # background copy traffic shares the DDR channel
-                    off_win = ~on
-                    off_win &= tview >= active.start
-                    off_win &= tview < active.end
-                    extra[start:stop][off_win] = interference
+            # boundary cycles (ECC, CE correction, scrub, victim refresh,
+            # throttling) count against the run's total latency and the
+            # watchdog budget, never against per-access latency
+            boundary_cycles = 0
+            if dram_errors:
+                boundary_cycles += self._run_ecc(
+                    dram_errors, epoch_index, now, result
+                )
+            if self._flush_each_epoch:
+                latency = self.controller.service_resolved(
+                    on, machine, offsets_all[ep], eff_times[ep],
+                    writes_all[ep], ONE_SEGMENT, extra[ep],
+                )
+                if self._ras is not None:
+                    # a retirement's copy-out instead stalls subsequent
+                    # accesses via the engine
+                    boundary_cycles += self._ras.end_epoch(
+                        epoch_index, now,
+                        machine=machine, on=on, writes=writes_all[ep],
+                        n_on=int(np.count_nonzero(on)), n_total=on.shape[0],
+                    )
+                if self._disturb is not None:
+                    # escalation rides the RAS/migration machinery instead
+                    boundary_cycles += self._disturb.end_epoch(
+                        epoch_index, now,
+                        pages=pages_all[ep], machine=machine, on=on,
+                        offsets=offsets_all[ep],
+                    )
+                epoch_cycles = int(latency.sum()) + boundary_cycles
+                if resilience.epoch_cycle_budget and (
+                    epoch_cycles > resilience.epoch_cycle_budget
+                ):
+                    detail = (
+                        f"epoch {epoch_index} (t=[{t0}, {now})) spent "
+                        f"{epoch_cycles} cycles, budget "
+                        f"{resilience.epoch_cycle_budget}"
+                    )
+                    if resilience.watchdog_action == "raise":
+                        raise WatchdogError(detail)
+                    self._events.append(
+                        DegradationEvent(
+                            time=now, epoch=epoch_index, kind=WATCHDOG_BREACH,
+                            detail=detail, recovered=True,
+                        )
+                    )
+                _tally(result, latency, on, ONE_SEGMENT)
+            result.total_latency += boundary_cycles
 
-            now = int(tview[-1]) + 1
+            if resilience.audit_interval and (
+                (epoch_index + 1) % resilience.audit_interval == 0
+            ):
+                self._audit(epoch_index, now)
+
             if self.migrate:
                 if not engine.quarantined:
+                    # on-package observations are per *slot*; slots == machine page
                     on_idx = np.flatnonzero(on)
                     off_idx = np.flatnonzero(~on)
                     engine.observe_epoch(
                         slots=machine[on_idx],
                         slot_times=tview[on_idx],
-                        offpkg_pages=pages_all[start:stop][off_idx],
+                        offpkg_pages=pages_all[ep][off_idx],
                         off_times=tview[off_idx],
-                        off_subblocks=subblocks_all[start:stop][off_idx],
+                        off_subblocks=subblocks_all[ep][off_idx],
                     )
                 decision = engine.maybe_swap(now)
                 if decision.triggered:
                     result.swaps_triggered += 1
             self._last_time = int(tview[-1])
 
-        # flush: every region services its accesses in one segmented call
-        latency = self.controller.service_resolved(
-            on_all, machine_all, offsets_all, eff_times, writes_all,
-            epoch_starts, extra,
-        )
-        n_on = int(np.count_nonzero(on_all))
-        result.n_accesses += n
-        result.total_latency += int(latency.sum())
-        result.onpkg_accesses += n_on
-        result.offpkg_accesses += n - n_on
-        # per-epoch means: int64 epoch sums stay far below 2**53, so the
-        # float64 division matches np.mean on the per-epoch slice bitwise
-        epoch_sums = np.add.reduceat(latency, epoch_starts)
-        lens = np.diff(np.append(epoch_starts, n))
-        result.epoch_latency.extend((epoch_sums / lens).tolist())
+        if not self._flush_each_epoch:
+            # every region services the chunk in one segmented call
+            latency = self.controller.service_resolved(
+                on_all, machine_all, offsets_all, eff_times, writes_all,
+                epoch_starts, extra,
+            )
+            _tally(result, latency, on_all, epoch_starts)
 
     # ------------------------------------------------------------------
     # resilience hooks

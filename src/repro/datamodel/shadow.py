@@ -55,9 +55,9 @@ merged by access index, so the result is exactly that of one access at
 a time (``tests/shadow_reference.py`` keeps that loop as the oracle).
 
 The shadow is pure bookkeeping: it never influences routing, timing or
-any simulated number. ``EpochSimulator(track_data=True)`` wires it in
-(and forces the stepwise epoch loop); the default leaves every code
-path byte-identical.
+any simulated number. ``EpochSimulator(track_data=True)`` wires it in,
+and the run keeps its once-per-chunk DRAM flush; the default leaves
+every code path byte-identical.
 """
 
 from __future__ import annotations

@@ -100,8 +100,8 @@ class FastDevice:
         """Many consecutive :meth:`service` calls fused into one.
 
         Semantically **bit-identical** to calling ``service`` once per
-        segment ``[seg_starts[i], seg_starts[i+1])`` in order (the fused
-        epoch loop's contract), in one sorted pass over all segments.
+        segment ``[seg_starts[i], seg_starts[i+1])`` in order (the epoch
+        loop's contract), in one sorted pass over all segments.
         Between two calls the sequential path carries, per queue,
         ``min(depart, arrival + cap)`` of the queue's last access, where
         ``cap`` is the finite-queue ``max_queue_wait``. As long as that

@@ -18,9 +18,9 @@ are never interrupted — and maps departures back with the inverse
 This gives exact preempt/resume semantics: work crossing a window
 boundary is suspended for tRFC and resumes, no matter whether the bank
 was idle, queued, or mid-burst when the window opened. Because the warp
-is a pure function of global time (not of per-call state), the fused
-segmented fast path stays bit-identical to the stepwise oracle: warping
-commutes with segment boundaries.
+is a pure function of global time (not of per-call state), the
+segmented flush stays bit-identical to one service call per epoch:
+warping commutes with segment boundaries.
 
 The same schedule prices refresh-vs-migration-copy contention: a swap
 copy touching a refreshing region stalls for every window its transfer

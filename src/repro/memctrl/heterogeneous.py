@@ -28,11 +28,15 @@ from ..trace.record import TraceChunk
 from ..units import log2_exact
 from .routing import RegionRouter
 
+#: ``seg_starts`` of a flush that services its accesses as one segment
+ONE_SEGMENT = np.zeros(1, dtype=np.int64)
+ONE_SEGMENT.flags.writeable = False
+
 
 class HeterogeneousController:
     """Translate-first, split-schedule memory controller."""
 
-    def __init__(self, config: SystemConfig, *, detailed: bool = False,
+    def __init__(self, config: SystemConfig, *,
                  translation_overhead: bool = True):
         self.config = config
         #: static (no-migration) systems decode regions from MSBs for free
@@ -40,10 +44,10 @@ class HeterogeneousController:
         self.amap: AddressMap = config.address_map()
         self.router = RegionRouter(self.amap)
         self.onpkg_model = LatencyModel(
-            config.latency, config.onpkg_dram, onpkg=True, detailed=detailed
+            config.latency, config.onpkg_dram, onpkg=True
         )
         self.offpkg_model = LatencyModel(
-            config.latency, config.offpkg_dram, onpkg=False, detailed=detailed
+            config.latency, config.offpkg_dram, onpkg=False
         )
         self._sb_shift = log2_exact(self.amap.subblock_bytes)
         #: optional data-content mirror (set by EpochSimulator
@@ -59,8 +63,8 @@ class HeterogeneousController:
 
         The tenancy scheduler diffs consecutive snapshots around each
         tenant's trace chunk to attribute controller work per tenant —
-        valid on both loop flavours because the fused flush also settles
-        these counters within ``run_into`` before it returns.
+        valid because the epoch loop's last flush settles these counters
+        within ``run_into`` before it returns.
         """
         return (
             self.accesses,
@@ -101,12 +105,11 @@ class HeterogeneousController:
         on_out: np.ndarray,
         machine_out: np.ndarray,
     ) -> None:
-        """:meth:`resolve_chunk` over precomputed per-access arrays.
-
-        Writes ``(on_package, machine_page)`` into the caller's output
-        views — this is what lets the fused epoch loop resolve straight
-        into preallocated whole-flush scratch buffers. ``subblocks`` may
-        be ``None`` when ``active`` carries no fill in flight.
+        """Per-access ``(on_package, machine_page)`` honouring in-flight
+        swaps, written into the caller's output views — this is what lets
+        the epoch loop resolve straight into preallocated whole-flush
+        scratch buffers. ``subblocks`` may be ``None`` when ``active``
+        carries no fill in flight.
         """
         if pages.size and pages.min() < 0:
             table.resolve_many(pages)  # raises the domain-specific error
@@ -141,29 +144,49 @@ class HeterogeneousController:
                 on_out[mask] = served_on
                 machine_out[mask] = np.where(served_on, fill.slot, fill.old_machine)
 
-    def resolve_chunk(
+    def prepare_into(
         self,
-        chunk: TraceChunk,
+        pages: np.ndarray,
+        times: np.ndarray,
+        subblocks: np.ndarray,
+        writes: np.ndarray,
         table: TranslationTable,
         active: ActiveMigration | None,
-        *,
-        pages: np.ndarray | None = None,
-        subblocks: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-access ``(on_package, machine_page)`` honouring in-flight swaps."""
-        if pages is None:
-            pages = self.amap.page_of(chunk.addr)
-        if (
-            subblocks is None
-            and active is not None
-            and active.fill is not None
-        ):
-            subblocks = self.amap.offset_of(chunk.addr) >> self._sb_shift
-        n = pages.shape[0]
-        on = np.empty(n, dtype=bool)
-        machine = np.empty(n, dtype=np.int64)
-        self.resolve_into(pages, chunk.time, subblocks, table, active, on, machine)
-        return on, machine
+        on_out: np.ndarray,
+        machine_out: np.ndarray,
+        extra_out: np.ndarray,
+    ) -> np.ndarray | None:
+        """The control half of servicing one epoch.
+
+        Resolves routing into ``on_out``/``machine_out``, feeds the
+        shadow memory (if any) and writes an in-flight swap's stall or
+        interference cycles into ``extra_out`` (zero-filled by the
+        caller). Returns the mask of stalled accesses, which issue at
+        ``active.end``, or None when no arrival moves.
+        """
+        self.resolve_into(pages, times, subblocks, table, active, on_out, machine_out)
+        if self.shadow is not None:
+            # the shadow checks at *original* access times: a stalled
+            # access still reads whatever the location holds once the
+            # stall window (during which data and routing flip together)
+            # has drained, and the op queue flushes by land time
+            self.shadow.process(times, pages, subblocks, on_out, machine_out, writes)
+        if active is None:
+            return None
+        if active.stall:
+            # N design: execution halts while the swap copies data;
+            # stalled accesses issue together at the stall's end
+            stalled = (times >= active.start) & (times < active.end)
+            if not stalled.any():
+                return None
+            extra_out[stalled] = active.end - times[stalled]
+            return stalled
+        # background copy traffic shares the DDR channel
+        off_win = ~on_out
+        off_win &= times >= active.start
+        off_win &= times < active.end
+        extra_out[off_win] = self.config.migration.interference_cycles
+        return None
 
     def service_chunk(
         self,
@@ -175,13 +198,13 @@ class HeterogeneousController:
         offsets: np.ndarray | None = None,
         subblocks: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Latency of each access in a time-ordered chunk.
+        """Latency of each access in a time-ordered chunk, serviced as
+        one segment.
 
         Returns ``(latencies, onpkg_mask, machine_page)``. The chunk must
         not start before previously serviced chunks (device state is
         persistent). ``pages``/``offsets``/``subblocks`` accept arrays
-        the caller already derived from ``chunk.addr`` (the epoch loop
-        precomputes them once per trace chunk).
+        the caller already derived from ``chunk.addr``.
         """
         n = len(chunk)
         if n == 0:
@@ -190,67 +213,31 @@ class HeterogeneousController:
                 np.zeros(0, dtype=bool),
                 np.zeros(0, dtype=np.int64),
             )
-        on, machine = self.resolve_chunk(
-            chunk, table, active, pages=pages, subblocks=subblocks
-        )
-        if offsets is None:
-            offsets = self.amap.offset_of(chunk.addr)
-        times = chunk.time
+        times = np.ascontiguousarray(chunk.time)
         if np.any(times[1:] < times[:-1]):
             # checked on the original times, before the shadow consumes
             # them or a stall moves them: a stall maps every time in its
             # window to the window's end, which would hide an inversion
             raise SimulationError("chunk times must be non-decreasing")
+        if pages is None:
+            pages = self.amap.page_of(chunk.addr)
+        if offsets is None:
+            offsets = self.amap.offset_of(chunk.addr)
+        if subblocks is None:
+            subblocks = offsets >> self._sb_shift
         writes = chunk.rw != 0
-        if self.shadow is not None:
-            # the shadow checks at *original* access times: a stalled
-            # access still reads whatever the location holds once the
-            # stall window (during which data and routing flip together)
-            # has drained, and the op queue flushes by land time
-            if pages is None:
-                pages = self.amap.page_of(chunk.addr)
-            if subblocks is None:
-                subblocks = offsets >> self._sb_shift
-            self.shadow.process(times, pages, subblocks, on, machine, writes)
-        latency = np.zeros(n, dtype=np.int64)
-
-        # N design: execution halts while the swap copies data
-        stall_extra = None
-        if active is not None and active.stall:
-            stall_extra = np.zeros(n, dtype=np.int64)
-            stalled = (times >= active.start) & (times < active.end)
-            stall_extra[stalled] = active.end - times[stalled]
-            times = times + stall_extra  # issue after the stall
-
-        n_on = int(np.count_nonzero(on))
-        if n_on:
-            sel = np.flatnonzero(on)
-            local = self.router.onpkg_local_address(machine[sel], offsets[sel])
-            latency[sel] = self.onpkg_model.access_latency(
-                local, times[sel], writes[sel]
-            )
-        if n_on < n:
-            sel = np.flatnonzero(~on)
-            local = self.router.offpkg_local_address(machine[sel], offsets[sel])
-            lat = self.offpkg_model.access_latency(local, times[sel], writes[sel])
-            if active is not None and not active.stall:
-                # background copy traffic shares the DDR channel
-                window = (times[sel] >= active.start) & (times[sel] < active.end)
-                lat = lat + window * self.config.migration.interference_cycles
-            latency[sel] = lat
-
-        if self.translation_overhead:
-            latency += translation_cycles(
-                self.config.migration.os_assisted,
-                hw_cycles=self.config.migration.hw_translation_cycles,
-            )
-        if stall_extra is not None:
-            latency += stall_extra
-
-        self.accesses += n
-        self.total_latency += int(latency.sum())
-        self.onpkg_accesses += n_on
-        self.offpkg_accesses += n - n_on
+        on = np.empty(n, dtype=bool)
+        machine = np.empty(n, dtype=np.int64)
+        extra = np.zeros(n, dtype=np.int64)
+        stalled = self.prepare_into(
+            pages, times, subblocks, writes, table, active, on, machine, extra
+        )
+        if stalled is not None:
+            times = times.copy()
+            times[stalled] = active.end
+        latency = self.service_resolved(
+            on, machine, offsets, times, writes, ONE_SEGMENT, extra
+        )
         return latency, on, machine
 
     def service_resolved(
@@ -263,76 +250,34 @@ class HeterogeneousController:
         seg_starts: np.ndarray,
         extra: np.ndarray,
     ) -> np.ndarray:
-        """Deferred region servicing for the fused epoch loop.
+        """Flush resolved accesses through each region's device.
 
-        The control pass already resolved routing per epoch; this flushes
-        the accumulated accesses through each region's device in one
-        segmented call whose segments are the original epoch boundaries
-        (``seg_starts``, global indices into the flush). ``times`` are
-        effective arrival times (stalls applied); ``extra`` carries the
-        per-access additive cycles the control pass computed (stall +
-        interference). Bit-identical to the per-epoch
-        :meth:`service_chunk` sequence by :meth:`FastDevice.service_segmented`'s
-        contract. Counters and translation overhead are applied here.
+        The control pass (:meth:`prepare_into`) already resolved routing
+        per epoch; each region services its share in one segmented call
+        whose segments are the epoch boundaries (``seg_starts``, global
+        indices into the flush). ``times`` are effective arrival times
+        (stalls applied); ``extra`` carries the per-access stall and
+        interference cycles. :meth:`FastDevice.service_segmented`'s
+        contract makes this bit-identical to one device call per
+        segment. Counters and translation overhead are applied here.
         """
         n = on.shape[0]
         n_on = int(np.count_nonzero(on))
         if n_on == n or n_on == 0:
             # single-region flush: no select/gather/scatter round-trip
-            model = self.onpkg_model if n_on else self.offpkg_model
-            dev = model.device
-            local = (
-                self.router.onpkg_local_address(machine, offsets)
-                if n_on
-                else self.router.offpkg_local_address(machine, offsets)
+            latency = self._flush_region(
+                n_on > 0, None, machine, offsets, times, writes, seg_starts
             )
-            wr = writes if dev.geometry.timing.t_wr else None
-            latency = dev.service_segmented(
-                local, times, seg_starts, wr, assume_monotone=True
-            )
-            latency += model.path_overhead
-            if self.translation_overhead:
-                latency += translation_cycles(
-                    self.config.migration.os_assisted,
-                    hw_cycles=self.config.migration.hw_translation_cycles,
-                )
-            latency += extra
-            self.accesses += n
-            self.total_latency += int(latency.sum())
-            self.onpkg_accesses += n_on
-            self.offpkg_accesses += n - n_on
-            return latency
-
-        latency = np.zeros(n, dtype=np.int64)
-        if n_on:
+        else:
+            latency = np.empty(n, dtype=np.int64)
             sel = np.flatnonzero(on)
-            local = self.router.onpkg_local_address(machine[sel], offsets[sel])
-            segs = np.searchsorted(sel, seg_starts)
-            segs = segs[segs < sel.shape[0]]
-            dev = self.onpkg_model.device
-            # the write gather is dead weight when the region charges no
-            # write recovery
-            wr = writes[sel] if dev.geometry.timing.t_wr else None
-            latency[sel] = (
-                dev.service_segmented(
-                    local, times[sel], segs, wr, assume_monotone=True
-                )
-                + self.onpkg_model.path_overhead
+            latency[sel] = self._flush_region(
+                True, sel, machine, offsets, times, writes, seg_starts
             )
-        if n_on < n:
             sel = np.flatnonzero(~on)
-            local = self.router.offpkg_local_address(machine[sel], offsets[sel])
-            segs = np.searchsorted(sel, seg_starts)
-            segs = segs[segs < sel.shape[0]]
-            dev = self.offpkg_model.device
-            wr = writes[sel] if dev.geometry.timing.t_wr else None
-            latency[sel] = (
-                dev.service_segmented(
-                    local, times[sel], segs, wr, assume_monotone=True
-                )
-                + self.offpkg_model.path_overhead
+            latency[sel] = self._flush_region(
+                False, sel, machine, offsets, times, writes, seg_starts
             )
-
         if self.translation_overhead:
             latency += translation_cycles(
                 self.config.migration.os_assisted,
@@ -344,6 +289,45 @@ class HeterogeneousController:
         self.total_latency += int(latency.sum())
         self.onpkg_accesses += n_on
         self.offpkg_accesses += n - n_on
+        return latency
+
+    def _flush_region(
+        self,
+        onpkg: bool,
+        sel: np.ndarray | None,
+        machine: np.ndarray,
+        offsets: np.ndarray,
+        times: np.ndarray,
+        writes: np.ndarray,
+        seg_starts: np.ndarray,
+    ) -> np.ndarray:
+        """One region's device latency plus path overhead for the
+        accesses ``sel`` indexes (None: all of them)."""
+        model = self.onpkg_model if onpkg else self.offpkg_model
+        dev = model.device
+        address = (
+            self.router.onpkg_local_address
+            if onpkg
+            else self.router.offpkg_local_address
+        )
+        # the write gather is dead weight when the region charges no
+        # write recovery
+        wr = writes if dev.geometry.timing.t_wr else None
+        if sel is None:
+            local = address(machine, offsets)
+        else:
+            segs = np.searchsorted(sel, seg_starts)
+            seg_starts = segs[segs < sel.shape[0]]
+            # the machine/offset gathers die here, before the device pass
+            # allocates its own full-width temporaries
+            local = address(machine[sel], offsets[sel])
+            times = times[sel]
+            if wr is not None:
+                wr = wr[sel]
+        latency = dev.service_segmented(
+            local, times, seg_starts, wr, assume_monotone=True
+        )
+        latency += model.path_overhead
         return latency
 
     @property

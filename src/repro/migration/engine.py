@@ -116,7 +116,7 @@ class ActiveMigration:
 
     def timeline_arrays(self) -> dict:
         """``page -> (change_times, on_package, machine_page)`` parallel
-        arrays — the fused loop resolves against the same timelines every
+        arrays — the epoch loop resolves against the same timelines every
         epoch of the swap window, so the conversion is done once."""
         cache = self._timeline_arrays
         if cache is None:

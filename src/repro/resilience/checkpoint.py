@@ -44,7 +44,6 @@ class CheckpointBundle:
 
     config: Any                 # SystemConfig
     migrate: bool
-    detailed_dram: bool
     simulator_state: dict
     result: Any                 # SimulationResult
     extra: dict
@@ -58,7 +57,6 @@ def save_checkpoint(path: str | os.PathLike, simulator, result,
             "version": CHECKPOINT_VERSION,
             "config": simulator.config,
             "migrate": simulator.migrate,
-            "detailed_dram": simulator.detailed_dram,
             "simulator_state": simulator.state_dict(),
             "result": result,
             "extra": dict(extra or {}),
@@ -102,10 +100,17 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointBundle:
             f"or was truncated ({len(payload)} payload bytes)"
         )
     state = pickle.loads(payload)
+    # .get(): bundles written while the simulator still offered the
+    # event-driven device model carry this key; only False resumes
+    if state.get("detailed_dram"):
+        raise CheckpointError(
+            f"{path}: checkpoint was taken on the event-driven DRAM model, "
+            f"which the simulator no longer runs; resuming it on the fast "
+            f"model would change its numbers"
+        )
     return CheckpointBundle(
         config=state["config"],
         migrate=state["migrate"],
-        detailed_dram=state["detailed_dram"],
         simulator_state=state["simulator_state"],
         result=state["result"],
         extra=state["extra"],
@@ -116,10 +121,7 @@ def restore_simulator(bundle: CheckpointBundle):
     """Build a fresh simulator from a bundle and load its state."""
     from ..core.simulator import EpochSimulator  # local: avoid import cycle
 
-    simulator = EpochSimulator(
-        bundle.config, migrate=bundle.migrate,
-        detailed_dram=bundle.detailed_dram,
-    )
+    simulator = EpochSimulator(bundle.config, migrate=bundle.migrate)
     simulator.load_state_dict(bundle.simulator_state)
     return simulator
 

@@ -7,7 +7,7 @@ migration engine) serves many tenant workloads:
    the tenant traces into a tagged quantum stream;
 2. each tenant's chunks are rewritten into its
    :class:`~repro.tenancy.domain.TenantDomain` window and fed to the
-   shared simulator (fused fast path and all);
+   shared simulator (one epoch loop, as for a single workload);
 3. an optional :class:`~repro.tenancy.qos.CapacityPolicy` hangs off the
    migration engine and partitions the on-package slots;
 4. an :class:`~repro.tenancy.isolation.IsolationOracle` watches every
@@ -47,7 +47,6 @@ class MultiTenantSimulator:
         *,
         policy: CapacityPolicy | None = None,
         migrate: bool = True,
-        fused: bool = True,
         track_data: bool = False,
         isolation: bool = True,
         scrub_on_free: bool = True,
@@ -57,9 +56,8 @@ class MultiTenantSimulator:
     ):
         self.config = config
         self._migrate = migrate
-        self._fused = fused
         self.sim = EpochSimulator(
-            config, migrate=migrate, fused=fused, track_data=track_data
+            config, migrate=migrate, track_data=track_data
         )
         self.registry = TenantRegistry(self.sim.table)
         self.scheduler = TenantScheduler(
@@ -197,7 +195,5 @@ class MultiTenantSimulator:
             prefix = self._traces[tenant_id][: m.consumed]
             if len(prefix) == 0:
                 continue
-            solo = EpochSimulator(
-                self.config, migrate=self._migrate, fused=self._fused
-            )
+            solo = EpochSimulator(self.config, migrate=self._migrate)
             m.solo_average_latency = solo.run(prefix).average_latency

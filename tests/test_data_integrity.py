@@ -143,24 +143,38 @@ class TestCleanDifferential:
 
     def test_track_data_does_not_change_the_numbers(self, traces):
         """The shadow is pure bookkeeping: every simulated figure is
-        bit-identical with and without it."""
+        bit-identical with and without it, the flush counters included
+        (a tracked run keeps the per-chunk flush)."""
         trace = traces["live"]
         plain = repro.EpochSimulator(config("live")).run(trace)
         _, tracked = run_tracked(config("live"), trace)
         a, b = dataclasses.asdict(plain), dataclasses.asdict(tracked)
         a.pop("data_violations"), b.pop("data_violations")
-        # track_data forces the stepwise loop, so the loop-coverage
-        # counters legitimately differ — but they must partition the
-        # same epoch count
-        assert a.pop("fused_epochs") == b.pop("stepwise_epochs")
-        assert b.pop("fused_epochs") == a.pop("stepwise_epochs") == 0
         assert a == b
+        assert tracked.stepwise_epochs == 0 and tracked.fused_epochs > 0
 
-    def test_track_data_disables_the_fused_loop(self):
-        assert repro.EpochSimulator(config("live"))._should_fuse()
-        sim = repro.EpochSimulator(config("live"), track_data=True)
-        assert not sim._should_fuse()
-        assert sim.shadow is not None
+    def test_track_data_keeps_the_chunk_flush(self, traces):
+        """Fed in chunks that cut epochs, a tracked run still flushes
+        DRAM once per chunk, with the same numbers as an untracked one."""
+        trace = traces["live"]
+        bounds = [0, 333, 1200, len(trace)]
+        results = []
+        for track_data in (False, True):
+            sim = repro.EpochSimulator(config("live"), track_data=track_data)
+            flushes = []
+            service = sim.controller.service_resolved
+            sim.controller.service_resolved = (
+                lambda *args: flushes.append(1) or service(*args)
+            )
+            result = repro.SimulationResult()
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                sim.run_into(trace[lo:hi], result)
+            assert len(flushes) == len(bounds) - 1
+            results.append(dataclasses.asdict(result))
+        plain, tracked = results
+        plain.pop("data_violations"), tracked.pop("data_violations")
+        assert plain == tracked
+        assert tracked["stepwise_epochs"] == 0
 
 
 # ----------------------------------------------------------------------

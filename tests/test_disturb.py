@@ -319,7 +319,7 @@ class TestFaultsAndState:
 
     def test_row_disturb_fault_is_noop_without_the_controller(self):
         cfg = _cfg().with_disturb(enabled=False)
-        sim = EpochSimulator(cfg, migrate=False, fused=False)
+        sim = EpochSimulator(cfg, migrate=False)
         plan = FaultPlan(
             events=(FaultEvent(epoch=2, kind=FaultKind.ROW_DISTURB, param=0),),
             seed=1,
@@ -363,8 +363,8 @@ class TestFaultsAndState:
 
     def test_neutral_thresholds_are_bit_identical_to_disabled(self):
         """An armed controller that never alerts must not change a
-        single number (and the disabled config takes the fused path, so
-        this doubles as a stepwise-vs-fused check)."""
+        single number (and the disabled config flushes once per chunk,
+        so this doubles as a per-epoch-vs-per-chunk flush check)."""
         trace = _hammer_trace(8)
         quiet = EpochSimulator(_cfg(act_threshold=10**6)).run(trace)
         off = EpochSimulator(_cfg().with_disturb(enabled=False)).run(trace)

@@ -1,9 +1,14 @@
-"""Fused multi-epoch fast path must be bit-identical to the stepwise loop.
+"""The epoch loop must be bit-identical to the stepwise reference loop.
 
-The fused path defers all DRAM servicing to one segmented flush per
-chunk; these tests pin the contract from the optimisation work: not a
-single simulated number may change — total latency, the full
-``epoch_latency`` series, swap counters, row-hit rates, everything.
+Production defers all DRAM servicing to one segmented flush per chunk,
+or flushes each epoch at its boundary when RAS, row disturbance or the
+watchdog reads device state there. ``tests/epochwise_reference.py``
+keeps the stepwise loop, with its own per-region device path, as the
+oracle. These tests pin the contract: not a single simulated number may
+change — total latency, the full ``epoch_latency`` series, swap
+counters, row-hit rates, degradation events, shadow-memory violations,
+everything — and the flush counters must say which flush the config
+implies.
 """
 
 import dataclasses
@@ -18,8 +23,15 @@ from repro.config import (
     onpkg_dram_timing,
 )
 from repro.core.hetero_memory import HeterogeneousMainMemory
+from repro.core.simulator import EpochSimulator, SimulationResult
+from repro.errors import WatchdogError
+from repro.experiments import chaos_soak, hammer_soak
+from repro.resilience import FaultEvent, FaultKind, FaultPlan
+from repro.resilience.degradation import WATCHDOG_BREACH
 from repro.trace.record import make_chunk
 from repro.units import KB, MB
+
+from .epochwise_reference import EpochwiseSimulator
 
 ALGORITHMS = ("N", "N-1", "live")
 
@@ -50,8 +62,8 @@ def _cfg(**migration_kwargs):
 
 
 def _scalar_fields(result):
-    # fused_epochs/stepwise_epochs say which loop ran, not what was
-    # simulated — they are asserted separately in assert_identical
+    # fused_epochs/stepwise_epochs say how DRAM service was flushed, not
+    # what was simulated — they are asserted separately in assert_identical
     return {
         f.name: getattr(result, f.name)
         for f in dataclasses.fields(result)
@@ -60,37 +72,163 @@ def _scalar_fields(result):
     }
 
 
-def assert_identical(cfg, trace, *, migrate=True, chunks=1, arm=None):
-    fused = HeterogeneousMainMemory(cfg, migrate=migrate, fused=True)
-    plain = HeterogeneousMainMemory(cfg, migrate=migrate, fused=False)
+def _feed(sim, trace, chunks, result=None):
+    result = SimulationResult() if result is None else result
+    bounds = np.linspace(0, len(trace), chunks + 1).astype(int)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sim.run_into(trace[lo:hi], result)
+    return result
+
+
+def _pair(cfg, *, migrate=True, track_data=False, arm=None):
+    sim = EpochSimulator(cfg, migrate=migrate, track_data=track_data)
+    ref = EpochwiseSimulator(cfg, migrate=migrate, track_data=track_data)
     if arm is not None:
-        arm(fused)
-        arm(plain)
-    if chunks == 1:
-        r_fused = fused.run(trace)
-        r_plain = plain.run(trace)
+        arm(sim)
+        arm(ref)
+    return sim, ref
+
+
+def _assert_same_results(sim, ref, r_sim, r_ref):
+    assert _scalar_fields(r_sim) == _scalar_fields(r_ref)
+    assert r_sim.epoch_latency == r_ref.epoch_latency
+    assert r_sim.degradation_events == r_ref.degradation_events
+    if ref.shadow is not None:
+        assert sim.shadow.violations == ref.shadow.violations
+
+
+def assert_identical(cfg, trace, *, migrate=True, chunks=1, arm=None,
+                     track_data=False, flush_each_epoch=False):
+    """Run the production loop and the reference on ``trace`` and assert
+    they agree on every field; ``flush_each_epoch`` is the flush the
+    config must imply (True for RAS, row disturbance and the watchdog)."""
+    sim, ref = _pair(cfg, migrate=migrate, track_data=track_data, arm=arm)
+    r_sim = _feed(sim, trace, chunks)
+    r_ref = _feed(ref, trace, chunks)
+    _assert_same_results(sim, ref, r_sim, r_ref)
+    # flush counters: every epoch lands in exactly one, and the one the
+    # config implies — migration-active epochs, fault plans, audits and
+    # the shadow memory included
+    n_epochs = r_ref.stepwise_epochs
+    assert r_ref.fused_epochs == 0
+    if flush_each_epoch:
+        assert (r_sim.fused_epochs, r_sim.stepwise_epochs) == (0, n_epochs)
     else:
-        bounds = np.linspace(0, len(trace), chunks + 1).astype(int)
-        r_fused = fused.simulator.run(trace[: bounds[1]])
-        r_plain = plain.simulator.run(trace[: bounds[1]])
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            fused.simulator.run_into(trace[lo:hi], r_fused)
-            plain.simulator.run_into(trace[lo:hi], r_plain)
-    assert _scalar_fields(r_fused) == _scalar_fields(r_plain)
-    assert r_fused.epoch_latency == r_plain.epoch_latency
-    # coverage: the fused simulator must never fall back to the
-    # stepwise loop (migration-active epochs included), and the two
-    # counters must partition the same epoch count
-    assert r_fused.stepwise_epochs == 0
-    assert r_plain.fused_epochs == 0
-    assert r_fused.fused_epochs == r_plain.stepwise_epochs
+        assert (r_sim.fused_epochs, r_sim.stepwise_epochs) == (n_epochs, 0)
     # nor may a flush replay its segments one service() call at a time,
     # except for the per-call channel-bus stage
-    ctrl = fused.simulator.controller
-    for dev in (ctrl.onpkg_model.device, ctrl.offpkg_model.device):
+    for dev in (sim.controller.onpkg_model.device,
+                sim.controller.offpkg_model.device):
         if not dev.geometry.timing.channel_bus:
             assert dev.segmented_replays == 0
-    return r_fused
+    return r_sim
+
+
+def _every_fault_kind(start=2, seed=9):
+    """One event of every :class:`FaultKind`, three epochs apart; the
+    slot-, frame- and row-targeted kinds each hit a different index."""
+    params = {
+        FaultKind.ABORT_SWAP: 3,      # copy step
+        FaultKind.DRAM_TRANSIENT: 4,  # error count
+    }
+    return FaultPlan(
+        [
+            FaultEvent(epoch=start + 3 * i, kind=kind,
+                       param=params.get(kind, 1 + 2 * i))
+            for i, kind in enumerate(FaultKind)
+        ],
+        seed=seed,
+    )
+
+
+def _epoch_budget(cfg, trace, quantile):
+    """A watchdog budget that ``quantile`` of the epochs stay within."""
+    result = EpochSimulator(cfg).run(trace)
+    sums = np.asarray(result.epoch_latency) * cfg.migration.swap_interval
+    return int(np.quantile(sums, quantile))
+
+
+class TestBoundaryHooks:
+    """Every boundary hook against the reference, per design.
+
+    The shadow memory, fault plans and audits keep the per-chunk flush;
+    the watchdog, RAS and row disturbance flush every epoch, before
+    their hooks read the devices or the epoch's latency.
+    """
+
+    VARIANTS = ("track_data", "track_data-chunked", "faults-audit",
+                "watchdog-degrade", "ras", "disturb-ras")
+
+    def _cell(self, algorithm, variant):
+        cell = dict(track_data=True)
+        if variant in ("track_data", "track_data-chunked"):
+            cfg, trace = _cfg(algorithm=algorithm), _trace(n=30_000)
+            if variant == "track_data-chunked":
+                cell["chunks"] = 7
+        elif variant == "faults-audit":
+            cfg = _cfg(algorithm=algorithm).with_resilience(audit_interval=3)
+            trace = _trace(n=30_000)
+            cell["arm"] = lambda sim: sim.attach_faults(_every_fault_kind())
+        elif variant == "watchdog-degrade":
+            trace = _trace(n=30_000)
+            cfg = _cfg(algorithm=algorithm)
+            cfg = cfg.with_resilience(
+                epoch_cycle_budget=_epoch_budget(cfg, trace, 0.5),
+                watchdog_action="degrade",
+            )
+            cell.update(track_data=False, flush_each_epoch=True)
+        elif variant == "ras":
+            cfg = chaos_soak.soak_config(algorithm)
+            trace = chaos_soak.soak_trace(40)
+            cell["arm"] = lambda sim: sim.attach_faults(_every_fault_kind())
+            cell["flush_each_epoch"] = True
+        else:
+            cfg = hammer_soak.soak_config(algorithm).with_ras(
+                enabled=True, seed=3, ce_base_rate=0.002,
+                scrub_interval_epochs=4,
+            )
+            trace = hammer_soak.hammer_trace(30)
+            cell["flush_each_epoch"] = True
+        return cfg, trace, cell
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_matrix(self, algorithm, variant):
+        cfg, trace, cell = self._cell(algorithm, variant)
+        r = assert_identical(cfg, trace, **cell)
+        assert r.swaps_triggered > 0
+        # guards: each cell exercises the hook it names
+        if variant in ("faults-audit", "ras"):
+            assert r.faults_injected == len(FaultKind)
+        if variant == "watchdog-degrade":
+            breaches = [e for e in r.degradation_events
+                        if e.kind == WATCHDOG_BREACH]
+            assert 0 < len(breaches) < r.stepwise_epochs
+        if variant in ("ras", "disturb-ras"):
+            assert r.ras.scrub_reads > 0
+        if variant == "disturb-ras":
+            assert r.disturb.victim_refreshes > 0
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_watchdog_raise(self, algorithm):
+        """Both loops stop at the same epoch with the same message, and
+        leave the same partial result behind."""
+        trace = _trace(n=30_000)
+        cfg = _cfg(algorithm=algorithm)
+        cfg = cfg.with_resilience(
+            epoch_cycle_budget=_epoch_budget(cfg, trace, 0.9),
+            watchdog_action="raise",
+        )
+        sim, ref = _pair(cfg)
+        r_sim, r_ref = SimulationResult(), SimulationResult()
+        with pytest.raises(WatchdogError) as e_sim:
+            _feed(sim, trace, 3, r_sim)
+        with pytest.raises(WatchdogError) as e_ref:
+            _feed(ref, trace, 3, r_ref)
+        assert str(e_sim.value) == str(e_ref.value)
+        assert sim._epoch_index == ref._epoch_index > 1
+        _assert_same_results(sim, ref, r_sim, r_ref)
+        assert r_sim.stepwise_epochs == r_ref.stepwise_epochs
 
 
 class TestAlgorithms:
@@ -121,7 +259,7 @@ class TestVariants:
         assert_identical(_cfg(), _trace(), migrate=False)
 
     def test_chunked_feeding(self):
-        # chunk boundaries must not perturb either path, including
+        # chunk boundaries must not perturb either loop, including
         # boundaries that do not line up with epoch boundaries
         assert_identical(_cfg(), _trace(), chunks=7)
 
@@ -129,7 +267,7 @@ class TestVariants:
         assert_identical(_cfg(swap_interval=25_000), _trace())
 
     def test_tiny_queue_wait_forces_fallback(self):
-        # a tiny cap binds at interior segment boundaries, so the fused
+        # a tiny cap binds at interior segment boundaries, so the chunk
         # flush must carry the capped backlog from block to block
         # instead of propagating the uncapped departure — results must
         # still be identical, with no per-segment replay
@@ -146,7 +284,7 @@ class TestVariants:
         cfg = dataclasses.replace(base, offpkg_dram=timing)
         mems = []
         assert_identical(cfg, _trace(n=30_000), arm=mems.append)
-        ctrl = mems[0].simulator.controller
+        ctrl = mems[0].controller
         assert ctrl.offpkg_model.device.segmented_replays > 0
         assert ctrl.onpkg_model.device.segmented_replays == 0
 
@@ -157,15 +295,14 @@ class TestVariants:
 
 
 class TestMigrationActive:
-    """Epochs with an active SwapPlan must run through the fused path.
+    """Epochs with an active SwapPlan must ride the chunk flush.
 
     The matrix crosses the three paper algorithms with write traffic,
     OS-assisted translation, a one-shot abort mid-plan, and refresh on
     both tiers. Every cell goes through :func:`assert_identical`, which
     pins bit-identical ``epoch_latency`` *and* ``stepwise_epochs == 0``
-    on the fused run — a regression that sends migration-active epochs
-    back to the stepwise fallback fails here, not just in the
-    throughput numbers.
+    on the production run — a regression that flushes migration-active
+    epochs one at a time fails here, not just in the throughput numbers.
     """
 
     VARIANTS = ("writes", "os-assisted", "abort", "refresh")
@@ -195,7 +332,7 @@ class TestMigrationActive:
         assert r.data_violations == 0
         if variant != "os-assisted":
             # plans span epoch boundaries (a later trigger found the
-            # previous one still in flight): the fused path simulated
+            # previous one still in flight): the chunk flush covered
             # epochs with P/F bits live, not just plan-free epochs
             assert r.swaps_suppressed_busy > 0
 
@@ -212,7 +349,7 @@ class TestMigrationActive:
 class TestRefresh:
     """The tREFI/tRFC time warp is a pure function of global time, so
     it must commute with segment boundaries: enabling refresh keeps the
-    fused path bit-identical while exercising mid-service suspensions
+    chunk flush bit-identical while exercising mid-service suspensions
     and refresh-stretched migration copies."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -254,9 +391,9 @@ class TestRefresh:
 
 
 class TestMultiTenant:
-    """A tenant-tagged interleaved stream must keep the fused fast path:
+    """A tenant-tagged interleaved stream must keep the chunk flush:
     window translation, QoS constraints and per-tenant attribution ride
-    on ``run_into`` and may not force (or perturb) the stepwise loop."""
+    on ``run_into`` and may not perturb the epoch loop."""
 
     N_TENANTS = 3
 
@@ -274,19 +411,20 @@ class TestMultiTenant:
             addr.astype(np.int64), time=np.cumsum(rng.integers(1, 80, n)), rw=rw
         )
 
-    def _run(self, fused):
+    def _run(self, monkeypatch, simulator_cls):
         from repro.tenancy import (
             MultiTenantSimulator,
             ProportionalSharePolicy,
             TenantSpec,
         )
 
+        monkeypatch.setattr(
+            "repro.tenancy.simulator.EpochSimulator", simulator_cls
+        )
         cfg = _cfg()
         amap = cfg.address_map()
         n_pages = amap.ghost_page // self.N_TENANTS
-        mts = MultiTenantSimulator(
-            cfg, policy=ProportionalSharePolicy(), fused=fused
-        )
+        mts = MultiTenantSimulator(cfg, policy=ProportionalSharePolicy())
         for i in range(self.N_TENANTS):
             mts.add_tenant(
                 TenantSpec(tenant_id=i, name=f"t{i}", n_pages=n_pages,
@@ -297,14 +435,14 @@ class TestMultiTenant:
             )
         return mts.run()
 
-    def test_bit_identical_under_tenant_tags(self):
-        r_fused = self._run(fused=True)
-        r_plain = self._run(fused=False)
+    def test_bit_identical_under_tenant_tags(self, monkeypatch):
+        r_sim = self._run(monkeypatch, EpochSimulator)
+        r_ref = self._run(monkeypatch, EpochwiseSimulator)
         # TenantMetrics is an eq dataclass: the tenants dicts compare
         # field-for-field inside _scalar_fields
-        assert _scalar_fields(r_fused) == _scalar_fields(r_plain)
-        assert r_fused.epoch_latency == r_plain.epoch_latency
-        assert r_fused.stepwise_epochs == 0
-        assert r_plain.fused_epochs == 0
-        assert r_fused.fused_epochs == r_plain.stepwise_epochs
-        assert r_fused.swaps_triggered > 0
+        assert _scalar_fields(r_sim) == _scalar_fields(r_ref)
+        assert r_sim.epoch_latency == r_ref.epoch_latency
+        assert r_sim.stepwise_epochs == 0
+        assert r_ref.fused_epochs == 0
+        assert r_sim.fused_epochs == r_ref.stepwise_epochs
+        assert r_sim.swaps_triggered > 0

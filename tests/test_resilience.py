@@ -8,7 +8,9 @@ module holds the deterministic unit and acceptance tests.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -176,6 +178,54 @@ class TestCheckpointFileFormat:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             load_checkpoint(tmp_path / "nope")
+
+
+class TestPreUnifiedLoopCheckpoint:
+    """Bundles saved while the simulator still took ``detailed_dram=``
+    carry that key in their payload."""
+
+    def _legacy_checkpoint(self, tmp_path, detailed_dram):
+        """Half a run, saved, then re-packed in the older payload layout
+        with a fresh digest (as the older build wrote it)."""
+        from repro.resilience.checkpoint import (
+            _PREFIX,
+            CHECKPOINT_MAGIC,
+            CHECKPOINT_VERSION,
+        )
+
+        trace = synthetic_trace(n=4 * INTERVAL, seed=3)
+        sim = repro.EpochSimulator(config("live"))
+        result = repro.SimulationResult()
+        sim.run_into(trace[: 2 * INTERVAL], result)
+        path = tmp_path / "ck"
+        save_checkpoint(path, sim, result)
+        with open(path, "rb") as fh:
+            fh.seek(_PREFIX.size)
+            state = pickle.loads(fh.read())
+        assert "detailed_dram" not in state
+        state["detailed_dram"] = detailed_dram
+        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(path, "wb") as fh:
+            fh.write(_PREFIX.pack(
+                CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                hashlib.sha256(payload).digest(),
+            ))
+            fh.write(payload)
+        return path, trace
+
+    def test_fast_device_bundle_resumes_bit_identically(self, tmp_path):
+        path, trace = self._legacy_checkpoint(tmp_path, detailed_dram=False)
+        bundle = load_checkpoint(path)
+        sim = restore_simulator(bundle)
+        result = bundle.result
+        sim.run_into(trace[2 * INTERVAL :], result)
+        ref = repro.EpochSimulator(config("live")).run(trace)
+        assert as_fields(result) == as_fields(ref)
+
+    def test_event_driven_bundle_is_refused(self, tmp_path):
+        path, _ = self._legacy_checkpoint(tmp_path, detailed_dram=True)
+        with pytest.raises(CheckpointError, match="event-driven"):
+            load_checkpoint(path)
 
 
 class TestRunResumable:

@@ -94,14 +94,12 @@ def _scalar_fields(result):
 # ---------------------------------------------------------------------------
 class TestSingleTenantBitIdentity:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("fused", (True, False))
-    def test_bit_identical(self, algorithm, fused):
+    @pytest.mark.parametrize("writes", (True, False))
+    def test_bit_identical(self, algorithm, writes):
         cfg = _cfg(algorithm)
-        trace = _trace()
-        plain = EpochSimulator(cfg, fused=fused).run(trace)
-        mts = MultiTenantSimulator(
-            cfg, policy=ProportionalSharePolicy(), fused=fused
-        )
+        trace = _trace(writes=writes)
+        plain = EpochSimulator(cfg).run(trace)
+        mts = MultiTenantSimulator(cfg, policy=ProportionalSharePolicy())
         amap = cfg.address_map()
         mts.add_tenant(
             TenantSpec(tenant_id=0, name="solo", n_pages=amap.ghost_page),
