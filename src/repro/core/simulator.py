@@ -374,7 +374,7 @@ class EpochSimulator:
             if self._flush_each_epoch:
                 latency = self.controller.service_resolved(
                     on, machine, offsets_all[ep], eff_times[ep],
-                    writes_all[ep], ONE_SEGMENT, extra[ep],
+                    ONE_SEGMENT, extra[ep],
                 )
                 if self._ras is not None:
                     # a retirement's copy-out instead stalls subsequent
@@ -436,8 +436,8 @@ class EpochSimulator:
         if not self._flush_each_epoch:
             # every region services the chunk in one segmented call
             latency = self.controller.service_resolved(
-                on_all, machine_all, offsets_all, eff_times, writes_all,
-                epoch_starts, extra,
+                on_all, machine_all, offsets_all, eff_times, epoch_starts,
+                extra,
             )
             _tally(result, latency, on_all, epoch_starts)
 

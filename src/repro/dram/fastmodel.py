@@ -10,8 +10,8 @@ request's row). Writing ``S_i = cumsum(s)`` gives
 which is one sort, one cumsum and one running maximum — no Python-level
 per-access loop. The FIFO order (instead of FR-FCFS's hit-first
 reordering) slightly *underestimates* row-hit rates under load;
-``tests/test_dram_crossvalidate.py`` bounds the disagreement against the
-event-driven reference.
+``tests/test_dram.py::TestDeviceCrossValidation`` bounds the
+disagreement against the event-driven reference.
 """
 
 from __future__ import annotations
@@ -66,17 +66,8 @@ class FastDevice:
         self.row_hits = state["row_hits"]
         self.row_conflicts = state["row_conflicts"]
 
-    def service(
-        self,
-        addr: np.ndarray,
-        arrivals: np.ndarray,
-        writes: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Per-access latency (cycles), aligned with the input order.
-
-        ``writes`` (optional boolean mask) charges write recovery when
-        the timing's ``t_wr`` is non-zero.
-        """
+    def service(self, addr: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
+        """Per-access latency (cycles), aligned with the input order."""
         addr = np.asarray(addr, dtype=np.int64)
         arrivals = np.asarray(arrivals, dtype=np.int64)
         if addr.shape != arrivals.shape:
@@ -86,14 +77,13 @@ class FastDevice:
             return np.zeros(0, dtype=np.int64)
         if np.any(np.diff(arrivals) < 0):
             raise SimulationError("arrivals must be non-decreasing")
-        return self._service_core(addr, arrivals, writes, None)
+        return self._service_core(addr, arrivals, None)
 
     def service_segmented(
         self,
         addr: np.ndarray,
         arrivals: np.ndarray,
         seg_starts: np.ndarray,
-        writes: np.ndarray | None = None,
         *,
         assume_monotone: bool = False,
     ) -> np.ndarray:
@@ -112,11 +102,10 @@ class FastDevice:
         departures from it; see :meth:`_carry_capped_blocks`.
 
         Two cases still replay the segments one :meth:`service` call at
-        a time, counted in :attr:`segmented_replays`: the per-call
-        channel-bus stage (``timing.channel_bus``), which restarts at
-        every call, and arrivals that go backwards across a segment
-        boundary. ``assume_monotone`` lets a caller that already checked
-        global monotonicity skip that check.
+        a time, counted in :attr:`segmented_replays`: arrivals that go
+        backwards across a segment boundary, and a capped-carry pass
+        that would overflow int64. ``assume_monotone`` lets a caller
+        that already checked global monotonicity skip the first check.
         """
         addr = np.asarray(addr, dtype=np.int64)
         arrivals = np.asarray(arrivals, dtype=np.int64)
@@ -129,40 +118,34 @@ class FastDevice:
         if seg_starts.size == 0 or seg_starts[0] != 0:
             raise SimulationError("seg_starts must begin with 0")
         if seg_starts.size == 1:
-            return self.service(addr, arrivals, writes)
-        if not self.geometry.timing.channel_bus and (
-            assume_monotone or not bool(np.any(np.diff(arrivals) < 0))
-        ):
+            return self.service(addr, arrivals)
+        if assume_monotone or not bool(np.any(np.diff(arrivals) < 0)):
             seg_of = np.repeat(
                 np.arange(seg_starts.size, dtype=np.int64),
                 np.diff(np.concatenate([seg_starts, [n]])),
             )
-            latency = self._service_core(addr, arrivals, writes, seg_of)
+            latency = self._service_core(addr, arrivals, seg_of)
             if latency is not None:
                 return latency
         self.segmented_replays += 1
-        return self._service_per_segment(addr, arrivals, seg_starts, writes)
+        return self._service_per_segment(addr, arrivals, seg_starts)
 
-    def _service_per_segment(self, addr, arrivals, seg_starts, writes):
+    def _service_per_segment(self, addr, arrivals, seg_starts):
         """Reference sequential replay: one service() call per segment."""
         latency = np.empty(addr.shape[0], dtype=np.int64)
         bounds = seg_starts.tolist() + [addr.shape[0]]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             if hi > lo:
-                latency[lo:hi] = self.service(
-                    addr[lo:hi], arrivals[lo:hi],
-                    None if writes is None else writes[lo:hi],
-                )
+                latency[lo:hi] = self.service(addr[lo:hi], arrivals[lo:hi])
         return latency
 
-    def _service_core(self, addr, arrivals, writes, seg_of) -> np.ndarray | None:
+    def _service_core(self, addr, arrivals, seg_of) -> np.ndarray | None:
         """The vectorised service pass over validated non-empty inputs.
 
         With ``seg_of`` (per-access segment id) the pass is exact w.r.t.
-        one sequential call per segment (see :meth:`service_segmented`);
-        callers guarantee ``channel_bus`` is off in that mode. It returns
-        None, before touching any persistent state, only when the
-        capped-carry pass would overflow int64.
+        one sequential call per segment (see :meth:`service_segmented`).
+        It returns None, before touching any persistent state, only when
+        the capped-carry pass would overflow int64.
         """
         n = addr.shape[0]
         timing = self.geometry.timing
@@ -215,8 +198,6 @@ class FastDevice:
         service[:] = timing.miss_cycles
         if timing.hit_cycles != timing.miss_cycles:
             service[hit] = timing.hit_cycles
-        if timing.t_wr and writes is not None:
-            service += np.asarray(writes, dtype=bool)[order] * np.int64(timing.t_wr)
 
         # Lindley per queue, vectorised across the whole sorted array by
         # restarting the cumsum/cummax at queue boundaries.
@@ -288,37 +269,6 @@ class FastDevice:
         nh = int(np.count_nonzero(hit))
         self.row_hits += nh
         self.row_conflicts += n - nh
-
-        if timing.channel_bus:
-            # second serialisation stage: each access's data burst occupies
-            # its channel's shared bus for io_cycles, granted in bank-
-            # completion order. Un-contended, the burst overlaps the tail
-            # of the bank service (zero extra); contention queues it.
-            depart_cap = arr_sorted + service + np.minimum(
-                depart - arr_sorted - service, cap
-            )
-            channel = q_sorted // timing.n_banks
-            bus_order = np.lexsort((depart_cap, channel))
-            ch_s = channel[bus_order]
-            f_s = depart_cap[bus_order]
-            first = np.empty(n, dtype=bool)
-            first[0] = True
-            first[1:] = ch_s[1:] != ch_s[:-1]
-            io = np.int64(timing.io_cycles)
-            bus_arr = f_s - io
-            cs_io = np.arange(1, n + 1, dtype=np.int64) * io
-            base = np.maximum.accumulate(
-                np.where(first, cs_io - io, np.int64(np.iinfo(np.int64).min))
-            )
-            S_io = cs_io - base
-            t_bus = bus_arr - (S_io - io)
-            seg_id = np.cumsum(first) - 1
-            big = np.int64(max(1, int(t_bus.max()) - int(t_bus.min()) + 1))
-            run_bus = np.maximum.accumulate(t_bus + seg_id * big) - seg_id * big
-            bus_end = S_io + run_bus
-            extra = np.zeros(n, dtype=np.int64)
-            extra[bus_order] = bus_end - f_s
-            latency_sorted = latency_sorted + np.maximum(0, extra)
 
         latency = np.empty(n, dtype=np.int64)
         latency[order] = latency_sorted

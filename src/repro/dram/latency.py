@@ -9,7 +9,7 @@ Off-package path: controller processing + 2x controller-to-core link +
 2x package pin + PCB round trip. On-package path: controller processing
 + 2x controller-to-core link + 2x interposer pin + intra-package round
 trip — no package pins or PCB, and queuing is nearly eliminated by the
-128-bank structure (validated in ``tests/test_queuing_claims.py``).
+128-bank structure (validated in ``tests/test_dram.py::TestQueuingClaims``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from ..config import DramTiming, LatencyComponents, offpkg_dram_timing, onpkg_dram_timing
 from .fastmodel import FastDevice
-from .scheduler import EventDrivenDevice
 from .timing import DramGeometry
 
 
@@ -31,14 +30,10 @@ class LatencyModel:
     components: LatencyComponents
     timing: DramTiming
     onpkg: bool
-    detailed: bool = False
     row_bytes: int = 8192
 
     def __post_init__(self) -> None:
-        geometry = DramGeometry(self.timing, row_bytes=self.row_bytes)
-        self.device = (
-            EventDrivenDevice(geometry) if self.detailed else FastDevice(geometry)
-        )
+        self.device = FastDevice(DramGeometry(self.timing, row_bytes=self.row_bytes))
 
     @property
     def path_overhead(self) -> int:
@@ -48,12 +43,9 @@ class LatencyModel:
             else self.components.offpkg_overhead
         )
 
-    def access_latency(
-        self, addr: np.ndarray, arrivals: np.ndarray,
-        writes: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def access_latency(self, addr: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
         """Total per-access latency (cycles): overhead + queuing + DRAM."""
-        return self.device.service(addr, arrivals, writes) + self.path_overhead
+        return self.device.service(addr, arrivals) + self.path_overhead
 
     def unloaded_latency(self) -> int:
         """Latency of an isolated row-buffer-conflict access (no queuing)."""
@@ -63,26 +55,20 @@ class LatencyModel:
 def make_offpkg_model(
     components: LatencyComponents | None = None,
     timing: DramTiming | None = None,
-    *,
-    detailed: bool = False,
 ) -> LatencyModel:
     return LatencyModel(
         components or LatencyComponents(),
         timing or offpkg_dram_timing(),
         onpkg=False,
-        detailed=detailed,
     )
 
 
 def make_onpkg_model(
     components: LatencyComponents | None = None,
     timing: DramTiming | None = None,
-    *,
-    detailed: bool = False,
 ) -> LatencyModel:
     return LatencyModel(
         components or LatencyComponents(),
         timing or onpkg_dram_timing(),
         onpkg=True,
-        detailed=detailed,
     )

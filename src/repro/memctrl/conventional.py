@@ -24,20 +24,18 @@ class ConventionalController:
         timing: DramTiming | None = None,
         *,
         onpkg: bool = False,
-        detailed: bool = False,
     ):
         self.model = LatencyModel(
             components or LatencyComponents(),
             timing or offpkg_dram_timing(),
             onpkg=onpkg,
-            detailed=detailed,
         )
         self.accesses = 0
         self.total_latency = 0
 
     def service_chunk(self, chunk: TraceChunk) -> np.ndarray:
         """Per-access latency for one time-ordered chunk."""
-        latency = self.model.access_latency(chunk.addr, chunk.time, chunk.rw != 0)
+        latency = self.model.access_latency(chunk.addr, chunk.time)
         self.accesses += len(chunk)
         self.total_latency += int(latency.sum())
         return latency

@@ -236,7 +236,7 @@ class HeterogeneousController:
             times = times.copy()
             times[stalled] = active.end
         latency = self.service_resolved(
-            on, machine, offsets, times, writes, ONE_SEGMENT, extra
+            on, machine, offsets, times, ONE_SEGMENT, extra
         )
         return latency, on, machine
 
@@ -246,7 +246,6 @@ class HeterogeneousController:
         machine: np.ndarray,
         offsets: np.ndarray,
         times: np.ndarray,
-        writes: np.ndarray,
         seg_starts: np.ndarray,
         extra: np.ndarray,
     ) -> np.ndarray:
@@ -266,17 +265,17 @@ class HeterogeneousController:
         if n_on == n or n_on == 0:
             # single-region flush: no select/gather/scatter round-trip
             latency = self._flush_region(
-                n_on > 0, None, machine, offsets, times, writes, seg_starts
+                n_on > 0, None, machine, offsets, times, seg_starts
             )
         else:
             latency = np.empty(n, dtype=np.int64)
             sel = np.flatnonzero(on)
             latency[sel] = self._flush_region(
-                True, sel, machine, offsets, times, writes, seg_starts
+                True, sel, machine, offsets, times, seg_starts
             )
             sel = np.flatnonzero(~on)
             latency[sel] = self._flush_region(
-                False, sel, machine, offsets, times, writes, seg_starts
+                False, sel, machine, offsets, times, seg_starts
             )
         if self.translation_overhead:
             latency += translation_cycles(
@@ -298,21 +297,16 @@ class HeterogeneousController:
         machine: np.ndarray,
         offsets: np.ndarray,
         times: np.ndarray,
-        writes: np.ndarray,
         seg_starts: np.ndarray,
     ) -> np.ndarray:
         """One region's device latency plus path overhead for the
         accesses ``sel`` indexes (None: all of them)."""
         model = self.onpkg_model if onpkg else self.offpkg_model
-        dev = model.device
         address = (
             self.router.onpkg_local_address
             if onpkg
             else self.router.offpkg_local_address
         )
-        # the write gather is dead weight when the region charges no
-        # write recovery
-        wr = writes if dev.geometry.timing.t_wr else None
         if sel is None:
             local = address(machine, offsets)
         else:
@@ -322,10 +316,8 @@ class HeterogeneousController:
             # allocates its own full-width temporaries
             local = address(machine[sel], offsets[sel])
             times = times[sel]
-            if wr is not None:
-                wr = wr[sel]
-        latency = dev.service_segmented(
-            local, times, seg_starts, wr, assume_monotone=True
+        latency = model.device.service_segmented(
+            local, times, seg_starts, assume_monotone=True
         )
         latency += model.path_overhead
         return latency

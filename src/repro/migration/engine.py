@@ -743,6 +743,15 @@ class MigrationEngine:
             if dst is not None and dst[0] == "mach":
                 self.wear.observe_copy(dst[1], self.amap.macro_page_bytes)
 
+    def _observe_step_wear(self, steps: list[CopyStep]) -> None:
+        """Count plan-less copies' (retirement, reclaim, abort copy-back)
+        destination writes in the wear model."""
+        if self.wear is None:
+            return
+        for step in steps:
+            if step.dst is not None and step.dst[0] == "mach":
+                self.wear.observe_copy(step.dst[1], step.nbytes)
+
     # ------------------------------------------------------------------
     # RAS predictive frame retirement
     # ------------------------------------------------------------------
@@ -777,10 +786,7 @@ class MigrationEngine:
             for step in steps:
                 self.shadow.apply_copy(step.src, step.dst)
         occupant = self.table.retire_slot(slot, spare)
-        if self.wear is not None:
-            for step in steps:
-                if step.dst is not None and step.dst[0] == "mach":
-                    self.wear.observe_copy(step.dst[1], step.nbytes)
+        self._observe_step_wear(steps)
         end = now
         for s in steps:
             end += self._copy_duration(end, s)
@@ -857,20 +863,21 @@ class MigrationEngine:
                     on, machine = self.table.resolve(p)
                     loc = ("slot", machine) if on else ("mach", machine)
                     self.shadow.scrub_page(p, loc)
-        end = now
-        nbytes = 0
-        for src, dst in outcome.moves:
-            step = CopyStep(
+        steps = [
+            CopyStep(
                 label="reclaim",
                 nbytes=self.amap.macro_page_bytes,
                 cross_boundary=not (src[0] == "slot" and dst[0] == "slot"),
                 src=src,
                 dst=dst,
             )
-            if self.wear is not None and dst[0] == "mach":
-                self.wear.observe_copy(dst[1], step.nbytes)
+            for src, dst in outcome.moves
+        ]
+        self._observe_step_wear(steps)
+        end = now
+        for step in steps:
             end += self._copy_duration(end, step)
-            nbytes += step.nbytes
+        nbytes = sum(step.nbytes for step in steps)
         if outcome.moves:
             self.active = ActiveMigration(
                 plan=None, start=now, end=end, fill=None, timelines={},
@@ -956,6 +963,7 @@ class MigrationEngine:
                     self.shadow.apply_copy(*payload)
             for step in steps:
                 self.shadow.apply_copy(step.src, step.dst)
+        self._observe_step_wear(steps)
         end = t_abort
         for s in steps:
             end += self._copy_duration(end, s)

@@ -108,6 +108,17 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointBundle:
             f"which the simulator no longer runs; resuming it on the fast "
             f"model would change its numbers"
         )
+    # vars(): bundles written while DramTiming still offered write
+    # recovery and a channel-bus stage unpickle those fields as stray
+    # attributes, which the device would silently ignore
+    for region in ("onpkg_dram", "offpkg_dram"):
+        timing = vars(getattr(state["config"], region))
+        if timing.get("t_wr") or timing.get("channel_bus"):
+            raise CheckpointError(
+                f"{path}: checkpoint's {region} timing charges write "
+                f"recovery or a channel-bus stage, which the DRAM model no "
+                f"longer prices; resuming it would change its numbers"
+            )
     return CheckpointBundle(
         config=state["config"],
         migrate=state["migrate"],

@@ -52,13 +52,11 @@ def service_epoch(
     if n_on:
         sel = np.flatnonzero(on)
         local = ctrl.router.onpkg_local_address(machine[sel], offsets[sel])
-        latency[sel] = ctrl.onpkg_model.access_latency(
-            local, times[sel], writes[sel]
-        )
+        latency[sel] = ctrl.onpkg_model.access_latency(local, times[sel])
     if n_on < n:
         sel = np.flatnonzero(~on)
         local = ctrl.router.offpkg_local_address(machine[sel], offsets[sel])
-        lat = ctrl.offpkg_model.access_latency(local, times[sel], writes[sel])
+        lat = ctrl.offpkg_model.access_latency(local, times[sel])
         if active is not None and not active.stall:
             # background copy traffic shares the DDR channel
             window = (times[sel] >= active.start) & (times[sel] < active.end)

@@ -199,9 +199,9 @@ class TestLatencyModel:
         lat = m.access_latency(np.array([0]), np.array([0]))
         assert lat[0] == onpkg_dram_timing().miss_cycles + 20
 
-    def test_detailed_flag_switches_device(self):
-        assert isinstance(make_offpkg_model(detailed=True).device, EventDrivenDevice)
+    def test_device_is_the_fast_model(self):
         assert isinstance(make_offpkg_model().device, FastDevice)
+        assert isinstance(make_onpkg_model().device, FastDevice)
 
 
 class TestRefresh:
@@ -242,79 +242,3 @@ class TestRefresh:
             DramTiming(refresh_interval=100, refresh_cycles=100)
         with pytest.raises(ConfigError):
             DramTiming(refresh_interval=-1)
-
-
-class TestWriteRecovery:
-    """Optional tWR write-recovery modelling."""
-
-    def test_write_costs_more_when_enabled(self):
-        t = DramTiming(t_wr=48)
-        bank = Bank(t)
-        _, f_w, _ = bank.access(1, 0, write=True)
-        bank2 = Bank(t)
-        _, f_r, _ = bank2.access(1, 0, write=False)
-        assert f_w - f_r == 48
-
-    def test_disabled_by_default(self):
-        bank = Bank(offpkg_dram_timing())
-        _, f_w, _ = bank.access(1, 0, write=True)
-        bank2 = Bank(offpkg_dram_timing())
-        _, f_r, _ = bank2.access(1, 0, write=False)
-        assert f_w == f_r
-
-    def test_fast_model_charges_writes(self):
-        t = DramTiming(t_wr=48)
-        geo = DramGeometry(t)
-        addr = np.arange(100, dtype=np.int64) * 8192 * 64  # distinct banks/rows
-        arrivals = np.arange(100, dtype=np.int64) * 500
-        reads = FastDevice(geo).service(addr, arrivals, np.zeros(100, dtype=bool))
-        writes = FastDevice(geo).service(addr, arrivals, np.ones(100, dtype=bool))
-        assert (writes - reads == 48).all()
-
-    def test_fast_and_event_agree_with_writes(self):
-        t = DramTiming(t_wr=48)
-        geo = DramGeometry(t)
-        rng = np.random.default_rng(5)
-        addr = rng.integers(0, 1 << 20, 400) // 64 * 64
-        arrivals = np.cumsum(rng.integers(30, 200, 400))
-        w = rng.random(400) < 0.4
-        fast = FastDevice(geo).service(addr, arrivals, w)
-        event = EventDrivenDevice(geo).service(addr, arrivals, w)
-        assert abs(fast.mean() - event.mean()) < max(2.0, 0.05 * event.mean())
-
-
-class TestChannelBus:
-    """Optional per-channel data-bus serialisation."""
-
-    def test_uncontended_adds_nothing(self):
-        base = DramTiming()
-        bus = DramTiming(channel_bus=True)
-        addr = np.arange(50, dtype=np.int64) * 64
-        arrivals = np.arange(50, dtype=np.int64) * 1000  # far apart
-        a = FastDevice(DramGeometry(base)).service(addr, arrivals)
-        b = FastDevice(DramGeometry(bus)).service(addr, arrivals)
-        np.testing.assert_array_equal(a, b)
-
-    def test_contention_queues_bursts(self):
-        """Simultaneous accesses to different banks of ONE channel must
-        serialise their data bursts when the bus is modelled."""
-        base = DramTiming(n_channels=1, n_banks=8)
-        bus = DramTiming(n_channels=1, n_banks=8, channel_bus=True)
-        # 8 accesses, one per bank, all arriving together
-        addr = (np.arange(8, dtype=np.int64) * 8192)
-        arrivals = np.zeros(8, dtype=np.int64)
-        a = FastDevice(DramGeometry(base)).service(addr, arrivals)
-        b = FastDevice(DramGeometry(bus)).service(addr, arrivals)
-        assert b.sum() > a.sum()
-        # the worst access waits ~7 extra bursts
-        assert b.max() - a.max() >= 6 * base.io_cycles
-
-    def test_channels_are_independent(self):
-        bus = DramTiming(n_channels=4, n_banks=8, channel_bus=True)
-        # one access per channel, simultaneous: no shared bus -> no extra
-        addr = np.arange(4, dtype=np.int64) * 8192
-        arrivals = np.zeros(4, dtype=np.int64)
-        base = DramTiming(n_channels=4, n_banks=8)
-        a = FastDevice(DramGeometry(base)).service(addr, arrivals)
-        b = FastDevice(DramGeometry(bus)).service(addr, arrivals)
-        np.testing.assert_array_equal(a, b)

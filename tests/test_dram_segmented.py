@@ -31,8 +31,7 @@ def _workload(rng, n, n_rows=6):
     arrivals = np.cumsum(gaps).astype(np.int64)
     addr = (rng.integers(0, 32, n) * 64
             + rng.integers(0, n_rows, n) * 8192 * 32).astype(np.int64)
-    writes = rng.random(n) < 0.3
-    return addr, arrivals, writes
+    return addr, arrivals
 
 
 def _splits(rng, n, n_segments):
@@ -40,10 +39,10 @@ def _splits(rng, n, n_segments):
     return np.concatenate([[0], cuts]).astype(np.int64)
 
 
-def _per_segment(dev, addr, arrivals, seg_starts, writes):
+def _per_segment(dev, addr, arrivals, seg_starts):
     bounds = seg_starts.tolist() + [addr.shape[0]]
     return np.concatenate([
-        dev.service(addr[lo:hi], arrivals[lo:hi], writes[lo:hi])
+        dev.service(addr[lo:hi], arrivals[lo:hi])
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ])
 
@@ -58,25 +57,24 @@ def _assert_same_state(a: FastDevice, b: FastDevice):
 @pytest.mark.parametrize("seed", range(6))
 def test_matches_per_segment_calls_when_the_cap_binds(seed, refresh):
     rng = np.random.default_rng(seed)
-    timing = _timing(refresh, max_queue_wait=int(rng.integers(4, 40)),
-                     t_wr=int(rng.integers(0, 2)) * 48)
+    timing = _timing(refresh, max_queue_wait=int(rng.integers(4, 40)))
     geo = DramGeometry(timing)
     fused, twin, uncut = FastDevice(geo), FastDevice(geo), FastDevice(geo)
     bound = False
     # several flushes in a row: the persistent carry crosses calls too
     for _ in range(3):
         n = int(rng.integers(200, 2_000))
-        addr, arrivals, writes = _workload(rng, n)
+        addr, arrivals = _workload(rng, n)
         arrivals += int(twin._ready.max())
         seg_starts = _splits(rng, n, int(rng.integers(2, 60)))
-        got = fused.service_segmented(addr, arrivals, seg_starts, writes)
-        want = _per_segment(twin, addr, arrivals, seg_starts, writes)
+        got = fused.service_segmented(addr, arrivals, seg_starts)
+        want = _per_segment(twin, addr, arrivals, seg_starts)
         np.testing.assert_array_equal(got, want)
         _assert_same_state(fused, twin)
         # the cap bound at an interior boundary iff ignoring the
         # boundaries changes some latency
         uncut.load_state_dict(twin.state_dict())
-        bound |= not np.array_equal(uncut.service(addr, arrivals, writes), want)
+        bound |= not np.array_equal(uncut.service(addr, arrivals), want)
         uncut.load_state_dict(twin.state_dict())
     assert bound
     assert fused.segmented_replays == 0
@@ -86,15 +84,15 @@ def test_empty_segments_and_single_access_segments():
     rng = np.random.default_rng(7)
     geo = DramGeometry(_timing(False, max_queue_wait=8))
     fused, twin = FastDevice(geo), FastDevice(geo)
-    addr, arrivals, writes = _workload(rng, 300)
+    addr, arrivals = _workload(rng, 300)
     seg_starts = np.array([0, 0, 1, 2, 2, 50, 51, 51, 299], dtype=np.int64)
     bounds = seg_starts.tolist() + [300]
     want = np.concatenate([
-        twin.service(addr[lo:hi], arrivals[lo:hi], writes[lo:hi])
+        twin.service(addr[lo:hi], arrivals[lo:hi])
         if hi > lo else np.zeros(0, dtype=np.int64)
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ])
-    got = fused.service_segmented(addr, arrivals, seg_starts, writes)
+    got = fused.service_segmented(addr, arrivals, seg_starts)
     np.testing.assert_array_equal(got, want)
     _assert_same_state(fused, twin)
 
@@ -105,30 +103,26 @@ def test_far_apart_arrivals_replay_exactly():
     rng = np.random.default_rng(3)
     geo = DramGeometry(_timing(False, max_queue_wait=8))
     fused, twin = FastDevice(geo), FastDevice(geo)
-    addr, arrivals, writes = _workload(rng, 2_000)
+    addr, arrivals = _workload(rng, 2_000)
     arrivals[1_000:] += np.int64(1) << 56
     seg_starts = np.arange(0, 2_000, 10, dtype=np.int64)
-    got = fused.service_segmented(addr, arrivals, seg_starts, writes)
-    want = _per_segment(twin, addr, arrivals, seg_starts, writes)
+    got = fused.service_segmented(addr, arrivals, seg_starts)
+    want = _per_segment(twin, addr, arrivals, seg_starts)
     np.testing.assert_array_equal(got, want)
     _assert_same_state(fused, twin)
     assert fused.segmented_replays == 1
 
 
-def test_channel_bus_and_backwards_arrivals_replay():
+def test_backwards_arrivals_replay():
     rng = np.random.default_rng(5)
-    addr, arrivals, writes = _workload(rng, 400)
+    addr, arrivals = _workload(rng, 400)
     seg_starts = np.array([0, 100, 200, 300], dtype=np.int64)
-    bus = FastDevice(DramGeometry(_timing(False, channel_bus=True)))
-    bus.service_segmented(addr, arrivals, seg_starts, writes)
-    assert bus.segmented_replays == 1
-
     geo = DramGeometry(_timing(False, max_queue_wait=8))
     fused, twin = FastDevice(geo), FastDevice(geo)
     back = arrivals.copy()
     back[200:] -= back[200] - back[50]  # segment 2 restarts earlier
-    got = fused.service_segmented(addr, back, seg_starts, writes)
-    want = _per_segment(twin, addr, back, seg_starts, writes)
+    got = fused.service_segmented(addr, back, seg_starts)
+    want = _per_segment(twin, addr, back, seg_starts)
     np.testing.assert_array_equal(got, want)
     _assert_same_state(fused, twin)
     assert fused.segmented_replays == 1

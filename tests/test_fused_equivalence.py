@@ -115,12 +115,10 @@ def assert_identical(cfg, trace, *, migrate=True, chunks=1, arm=None,
         assert (r_sim.fused_epochs, r_sim.stepwise_epochs) == (0, n_epochs)
     else:
         assert (r_sim.fused_epochs, r_sim.stepwise_epochs) == (n_epochs, 0)
-    # nor may a flush replay its segments one service() call at a time,
-    # except for the per-call channel-bus stage
+    # nor may a flush replay its segments one service() call at a time
     for dev in (sim.controller.onpkg_model.device,
                 sim.controller.offpkg_model.device):
-        if not dev.geometry.timing.channel_bus:
-            assert dev.segmented_replays == 0
+        assert dev.segmented_replays == 0
     return r_sim
 
 
@@ -275,18 +273,6 @@ class TestVariants:
         timing = dataclasses.replace(base.offpkg_dram, max_queue_wait=8)
         cfg = dataclasses.replace(base, offpkg_dram=timing)
         assert_identical(cfg, _trace(n=30_000))
-
-    def test_channel_bus_replays_per_segment(self):
-        # the bus stage restarts at every service() call, so this is
-        # the one configuration whose flushes still replay each segment
-        base = _cfg()
-        timing = dataclasses.replace(base.offpkg_dram, channel_bus=True)
-        cfg = dataclasses.replace(base, offpkg_dram=timing)
-        mems = []
-        assert_identical(cfg, _trace(n=30_000), arm=mems.append)
-        ctrl = mems[0].controller
-        assert ctrl.offpkg_model.device.segmented_replays > 0
-        assert ctrl.onpkg_model.device.segmented_replays == 0
 
     def test_empty_and_tiny_traces(self):
         cfg = _cfg()

@@ -23,6 +23,7 @@ from repro.errors import (
     TranslationTableError,
 )
 from repro.experiments.chaos_soak import soak_config, soak_fault_plan, soak_trace
+from repro.migration import engine as engine_mod
 from repro.migration.engine import MigrationEngine
 from repro.migration.policies import EpochMonitor
 from repro.migration.table import EMPTY, TranslationTable
@@ -475,6 +476,37 @@ class TestEngineRetireFrame:
         observe_hot_page(engine, 0, t0=now)  # page 0 now lives at the spare
         decision = engine.maybe_swap(now)
         assert not decision.triggered
+
+
+class TestAbortRecoveryWear:
+    @pytest.mark.parametrize("algorithm", ["N-1", "live"])
+    def test_copy_back_wears_its_destinations(self, algorithm, monkeypatch):
+        """A data-safe abort's copy-back steps write their off-package
+        destinations like any other copy, on top of the executed prefix."""
+        engine, _ = make_ras_engine(algorithm)
+        engine.wear = WearModel(
+            engine.amap.n_total_pages, penalty_weight=0.0, window=1024
+        )
+        seen = []
+        plan_recovery = engine_mod.recovery_plan
+
+        def capture(*args, **kwargs):
+            steps = plan_recovery(*args, **kwargs)
+            # the executed prefix has already been counted by now
+            seen.append((engine.wear.writes.copy(), steps))
+            return steps
+
+        monkeypatch.setattr(engine_mod, "recovery_plan", capture)
+        observe_hot_page(engine, N_SLOTS + 3)
+        engine.inject_abort(2)  # after the ghost copy, at the LRU copy
+        assert not engine.maybe_swap(now=100).triggered
+        (before, steps), = seen
+        want = before.copy()
+        for step in steps:
+            if step.dst[0] == "mach":
+                want[step.dst[1]] += step.nbytes // 64
+        assert (want > before).any()
+        np.testing.assert_array_equal(engine.wear.writes, want)
 
 
 # ---------------------------------------------------------------------------

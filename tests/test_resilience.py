@@ -228,6 +228,51 @@ class TestPreUnifiedLoopCheckpoint:
             load_checkpoint(path)
 
 
+class TestPreDeviceContractCheckpoint:
+    """Bundles saved while ``DramTiming`` still had ``t_wr`` and
+    ``channel_bus`` unpickle those fields as stray attributes."""
+
+    def _legacy_checkpoint(self, tmp_path, **timing_attrs):
+        """Half a run, saved with the older timing fields grafted onto
+        the off-package ``DramTiming`` (as the older build pickled it)."""
+        trace = synthetic_trace(n=4 * INTERVAL, seed=3)
+        cfg = config("live")
+        sim = repro.EpochSimulator(cfg)
+        result = repro.SimulationResult()
+        sim.run_into(trace[: 2 * INTERVAL], result)
+        for name, value in timing_attrs.items():
+            assert not hasattr(cfg.offpkg_dram, name)
+            # a frozen dataclass unpickles by updating __dict__ directly
+            vars(cfg.offpkg_dram)[name] = value
+        path = tmp_path / "ck"
+        save_checkpoint(path, sim, result)
+        return path, trace
+
+    def test_default_timing_bundle_resumes_bit_identically(self, tmp_path):
+        path, trace = self._legacy_checkpoint(
+            tmp_path, t_wr=0, channel_bus=False
+        )
+        bundle = load_checkpoint(path)
+        assert vars(bundle.config.offpkg_dram)["t_wr"] == 0
+        sim = restore_simulator(bundle)
+        result = bundle.result
+        sim.run_into(trace[2 * INTERVAL :], result)
+        ref = repro.EpochSimulator(config("live")).run(trace)
+        assert as_fields(result) == as_fields(ref)
+
+    @pytest.mark.parametrize(
+        "attrs", [{"t_wr": 48, "channel_bus": False},
+                  {"t_wr": 0, "channel_bus": True}],
+        ids=["t_wr", "channel_bus"],
+    )
+    def test_write_recovery_or_channel_bus_bundle_is_refused(
+        self, tmp_path, attrs
+    ):
+        path, _ = self._legacy_checkpoint(tmp_path, **attrs)
+        with pytest.raises(CheckpointError, match="offpkg_dram"):
+            load_checkpoint(path)
+
+
 class TestRunResumable:
     def test_resume_matches_uninterrupted(self, tmp_path):
         cfg = config("live")
