@@ -17,7 +17,6 @@ Two independent prongs, one CLI (:mod:`repro.analysis.cli`):
 """
 
 from .lint import (  # noqa: F401
-    Baseline,
     FileContext,
     Finding,
     LintReport,
@@ -41,7 +40,6 @@ from .protocol import (  # noqa: F401
 
 __all__ = [
     "ALL_INVARIANTS",
-    "Baseline",
     "FaultImpact",
     "FileContext",
     "Finding",

@@ -3,13 +3,13 @@
 Subcommands::
 
     repro-lint lint [PATHS...]      AST lint over source trees
-    repro-lint domains [PATHS...]   flow-sensitive domain-confusion check
     repro-lint protocol             exhaustive swap-protocol model check
     repro-lint faults               fault-kind -> violated-invariant table
     repro-lint rules                print the rule catalog
 
-Exit code 0 means clean; 1 means findings / violations; 2 means the
-tool itself could not run (bad arguments, unreadable baseline).
+Exit code 0 means clean; 1 means findings (any not suppressed inline)
+or violations; 2 means the tool itself could not run (bad arguments,
+missing paths).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 
 from ..config import MigrationAlgorithm
 from ..errors import AnalysisError
-from .lint import DEFAULT_BASELINE_NAME, Baseline, RULES, run_lint
+from .lint import RULES, run_lint
 from .protocol import check_variant, fault_invariant_analysis
 
 #: CLI spelling -> MigrationAlgorithm constant
@@ -32,38 +32,18 @@ VARIANTS = {
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    baseline = Baseline.load(args.baseline)
     report = run_lint(
         args.paths,
-        baseline=baseline,
         select=args.select or None,
         disable=args.disable or None,
         root=args.root,
     )
-    if args.write_baseline:
-        Baseline.from_findings(report.findings + report.baselined).save(
-            args.baseline
-        )
-        print(
-            f"wrote {args.baseline} "
-            f"({len(report.findings) + len(report.baselined)} entries)"
-        )
-        return 0
     if args.json:
         json.dump(report.to_json(), sys.stdout, indent=2)
         print()
     else:
-        print(report.format_text(show_baselined=args.show_baselined))
-    if not args.fail_on_new:
-        return 1 if report.parse_errors else 0
+        print(report.format_text())
     return report.exit_code
-
-
-def _cmd_domains(args: argparse.Namespace) -> int:
-    # the domain analyzer is the lint chassis pinned to one rule
-    args.select = ["domain-confusion"]
-    args.disable = None
-    return _cmd_lint(args)
 
 
 def _cmd_protocol(args: argparse.Namespace) -> int:
@@ -151,37 +131,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_lint_io_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("paths", nargs="*", default=["src"],
-                       help="files or directories (default: src)")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable report on stdout")
-        p.add_argument("--baseline", default=DEFAULT_BASELINE_NAME,
-                       help="baseline file (default: %(default)s)")
-        p.add_argument("--write-baseline", action="store_true",
-                       help="grandfather all current findings and exit 0")
-        p.add_argument("--fail-on-new", default=True,
-                       action=argparse.BooleanOptionalAction,
-                       help="exit 1 when non-baselined findings exist")
-        p.add_argument("--show-baselined", action="store_true",
-                       help="also print grandfathered findings")
-        p.add_argument("--root", default=None,
-                       help="repo root for relative paths in the report")
-
     p_lint = sub.add_parser("lint", help="run the AST lint rules")
-    add_lint_io_args(p_lint)
+    p_lint.add_argument("paths", nargs="*", default=["src"],
+                        help="files or directories (default: src)")
+    p_lint.add_argument("--json", action="store_true",
+                        help="machine-readable report on stdout")
+    p_lint.add_argument("--root", default=None,
+                        help="repo root for relative paths in the report")
     p_lint.add_argument("--select", action="append", metavar="RULE",
                         help="run only these rules (repeatable)")
     p_lint.add_argument("--disable", action="append", metavar="RULE",
                         help="skip these rules (repeatable)")
     p_lint.set_defaults(func=_cmd_lint)
-
-    p_domains = sub.add_parser(
-        "domains",
-        help="flow-sensitive clock/address domain-confusion analysis",
-    )
-    add_lint_io_args(p_domains)
-    p_domains.set_defaults(func=_cmd_domains)
 
     p_proto = sub.add_parser(
         "protocol", help="exhaustively model-check the swap step sequences"

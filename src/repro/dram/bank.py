@@ -49,7 +49,7 @@ class Bank:
         service = self.timing.hit_cycles if hit else self.timing.miss_cycles
         if self._refresh is not None:
             sched = self._refresh
-            arrival_u = sched.useful(arrival)  # repro-domain: useful_cycles
+            arrival_u = sched.useful(arrival)
             start_u = max(arrival_u, sched.useful(self.ready_time))
             # finite-queue backpressure proxy, on the useful clock
             start_u = min(start_u, arrival_u + self.timing.max_queue_wait)

@@ -157,7 +157,7 @@ class FastDevice:
             # exactly like the event-driven Bank model. The warp is a
             # pure function of global time, so it commutes with segment
             # boundaries and the fused-exactness contract is unchanged.
-            wall_arrivals = arrivals  # repro-domain: wall_cycles - pre-warp instants
+            wall_arrivals = arrivals
             arrivals = self._refresh.useful_np(arrivals)
         queues, rows = self.geometry.queues_and_rows(addr)
 

@@ -89,7 +89,7 @@ class AdaptiveGranularitySimulator:
             for page in [table.page_in_slot(slot)]
             # identity-home test: slot s natively holds page s, so
             # page != slot means the pair is migrated and must be flushed
-            if page != EMPTY and page != slot  # repro-lint: disable=domain-confusion
+            if page != EMPTY and page != slot
         )
         nbytes = 2 * migrated * page_bytes  # each pairing restores 2 copies
         cycles = self.base_config.bus.copy_cycles(nbytes)

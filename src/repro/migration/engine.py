@@ -990,7 +990,7 @@ class MigrationEngine:
         for page in (plan.mru, plan.lru):
             if page < self.table.n_slots:
                 # identity home: a low page id doubles as its home slot id
-                partner = self.table.page_in_slot(page)  # repro-lint: disable=domain-confusion
+                partner = self.table.page_in_slot(page)
                 if partner != EMPTY:
                     pages.add(partner)
             slot = self.table.slot_of(page)

@@ -153,16 +153,16 @@ class TranslationTable:
                 self.onpkg[page] = False
             elif self.p_bit[page]:
                 # the ghost page id doubles as a machine frame id
-                self.machine_of[page] = amap.ghost_page  # repro-domain: machine_frame
+                self.machine_of[page] = amap.ghost_page
                 self.onpkg[page] = False
             else:
                 v = int(self.pair[page])
                 if v == EMPTY:
-                    self.machine_of[page] = amap.ghost_page  # repro-domain: machine_frame
+                    self.machine_of[page] = amap.ghost_page
                     self.onpkg[page] = False
                 elif v == page:
                     # identity home: low pages home in the same-numbered slot
-                    self.machine_of[page] = page  # repro-domain: machine_frame
+                    self.machine_of[page] = page
                     self.onpkg[page] = True
                 else:
                     self.machine_of[page] = v
@@ -171,7 +171,7 @@ class TranslationTable:
             slot = self._slot_of.get(page)
             if slot is None:
                 # un-migrated slow page: machine address == page id
-                self.machine_of[page] = page  # repro-domain: machine_frame
+                self.machine_of[page] = page
                 self.onpkg[page] = False
             else:
                 self.machine_of[page] = slot
@@ -341,7 +341,7 @@ class TranslationTable:
         """The slot currently holding this page's data, if any."""
         if page < self.n_slots:
             # identity home: slot id == page id for un-migrated fast pages
-            return page if int(self.pair[page]) == page else None  # repro-domain: machine_frame
+            return page if int(self.pair[page]) == page else None
         return self._slot_of.get(page)
 
     def empty_slot(self) -> int | None:
@@ -483,10 +483,10 @@ class TranslationTable:
                 continue
             q = int(self.pair[slot])
             # q == slot is the identity-home test (nothing to undo)
-            if q == EMPTY or q == slot:  # repro-lint: disable=domain-confusion
+            if q == EMPTY or q == slot:
                 continue
             # slot doubles as the row's home-page id in the pairing
-            if q not in page_set and slot not in page_set:  # repro-lint: disable=domain-confusion
+            if q not in page_set and slot not in page_set:
                 continue
             undone.append((slot, q))
             if q not in page_set:
@@ -510,9 +510,9 @@ class TranslationTable:
                 s
                 for s in sorted(page_set)
                 # a released page id below n_slots doubles as a row index
-                if s < self.n_slots  # repro-lint: disable=domain-confusion
+                if s < self.n_slots
                 and not self.retired[s]
-                and s != e  # repro-lint: disable=domain-confusion
+                and s != e
                 and s in identity_after
             ]
             if candidates:
@@ -785,7 +785,7 @@ class TranslationTable:
             page = int(self.pair[slot])
             # page != slot is the deliberate identity-home test: slot s
             # natively holds page s, so inequality means "migrated pair"
-            if page != EMPTY and page != slot:  # repro-lint: disable=domain-confusion
+            if page != EMPTY and page != slot:
                 self._sync_page(page)
         if self._fill_page is not None:
             self._sync_page(self._fill_page)

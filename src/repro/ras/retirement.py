@@ -44,7 +44,7 @@ def retirement_moves(
         raise MigrationError("cannot retire the empty slot")
     # identity-home test: occupant == slot means the slot still holds its
     # natively-homed page, so retirement needs only the one spare copy
-    if occupant == slot:  # repro-lint: disable=domain-confusion
+    if occupant == slot:
         return [
             CopyStep(
                 f"retire frame {slot}: page {slot} -> spare mach {spare}",

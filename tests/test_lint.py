@@ -1,4 +1,4 @@
-"""The repro-lint engine: rules, suppressions, baseline, JSON schema."""
+"""The repro-lint engine: rules, suppressions, JSON schema."""
 
 import json
 import textwrap
@@ -7,7 +7,6 @@ import pytest
 
 from repro.analysis.lint import (
     RULES,
-    Baseline,
     FileContext,
     Finding,
     Severity,
@@ -394,45 +393,6 @@ class TestForkSafety:
 BAD_SOURCE = "import time\n\n\ndef stamp():\n    return time.time()\n"
 
 
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        findings = findings_for(BAD_SOURCE)
-        base = Baseline.from_findings(findings)
-        path = tmp_path / "baseline.json"
-        base.save(path)
-        loaded = Baseline.load(path)
-        assert len(loaded) == len(findings) == 1
-        assert all(f in loaded for f in findings)
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert len(Baseline.load(tmp_path / "absent.json")) == 0
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "findings": {}}))
-        with pytest.raises(AnalysisError):
-            Baseline.load(path)
-
-    def test_fingerprint_survives_line_shift(self):
-        shifted = "\n\n\n" + BAD_SOURCE
-        a = findings_for(BAD_SOURCE)[0]
-        b = findings_for(shifted)[0]
-        assert a.line != b.line
-        assert a.fingerprint == b.fingerprint
-
-    def test_baselined_findings_do_not_fail(self, tmp_path):
-        target = tmp_path / "src" / "repro" / "simulator"
-        target.mkdir(parents=True)
-        (target / "bad.py").write_text(BAD_SOURCE)
-        report = run_lint([str(tmp_path)], root=str(tmp_path))
-        assert report.exit_code == 1 and len(report.findings) == 1
-
-        base = Baseline.from_findings(report.findings)
-        again = run_lint([str(tmp_path)], baseline=base, root=str(tmp_path))
-        assert again.exit_code == 0
-        assert not again.findings and len(again.baselined) == 1
-
-
 class TestEngine:
     def test_unknown_rule_rejected(self):
         with pytest.raises(AnalysisError):
@@ -462,18 +422,16 @@ class TestEngine:
         report = run_lint([str(tmp_path)], root=str(tmp_path))
         data = json.loads(json.dumps(report.to_json()))
         assert set(data) == {
-            "version", "tool", "rules", "findings", "baselined",
-            "parse_errors", "summary",
+            "version", "tool", "rules", "findings", "parse_errors",
+            "summary",
         }
-        assert data["tool"] == "repro-lint"
+        assert data["version"] == 2 and data["tool"] == "repro-lint"
         assert sorted(data["rules"]) == sorted(RULES)
         (finding,) = data["findings"]
         assert set(finding) == {
             "rule", "severity", "path", "line", "col", "message",
-            "fingerprint", "trace",
         }
-        assert finding["trace"] == []
-        assert data["summary"]["new"] == 1
+        assert data["summary"]["findings"] == 1
         assert data["summary"]["by_rule"] == {"wall-clock": 1}
 
     def test_repo_source_tree_is_clean(self):

@@ -26,97 +26,30 @@ def run(args):
 
 class TestLintCommand:
     def test_clean_tree_exits_zero(self, tree, capsys):
-        assert run(["lint", tree / "src" / "repro" / "simulator" / "good.py",
-                    "--baseline", tree / "b.json"]) == 0
-        assert "0 new finding(s)" in capsys.readouterr().out
+        assert run(["lint", tree / "src" / "repro" / "simulator" / "good.py"]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_violation_exits_nonzero(self, tree, capsys):
-        code = run(["lint", tree, "--root", tree, "--baseline", tree / "b.json"])
+        code = run(["lint", tree, "--root", tree])
         assert code == 1
         out = capsys.readouterr().out
         assert "wall-clock" in out and "bad.py:5" in out
 
-    def test_no_fail_on_new(self, tree):
-        assert run(["lint", tree, "--baseline", tree / "b.json",
-                    "--no-fail-on-new"]) == 0
-
     def test_json_output(self, tree, capsys):
-        run(["lint", tree, "--root", tree, "--baseline", tree / "b.json",
-             "--json"])
+        run(["lint", tree, "--root", tree, "--json"])
         data = json.loads(capsys.readouterr().out)
         assert data["tool"] == "repro-lint"
-        assert data["summary"]["new"] == 1
-
-    def test_write_baseline_then_clean(self, tree, capsys):
-        baseline = tree / "b.json"
-        assert run(["lint", tree, "--root", tree, "--baseline", baseline,
-                    "--write-baseline"]) == 0
-        assert "1 entries" in capsys.readouterr().out
-        assert run(["lint", tree, "--root", tree, "--baseline", baseline]) == 0
+        assert data["summary"]["findings"] == 1
 
     def test_select_skips_other_rules(self, tree):
-        assert run(["lint", tree, "--baseline", tree / "b.json",
-                    "--select", "unseeded-rng"]) == 0
+        assert run(["lint", tree, "--select", "unseeded-rng"]) == 0
 
     def test_unknown_rule_is_usage_error(self, tree, capsys):
-        assert run(["lint", tree, "--select", "bogus",
-                    "--baseline", tree / "b.json"]) == 2
+        assert run(["lint", tree, "--select", "bogus"]) == 2
         assert "unknown rule" in capsys.readouterr().err
 
     def test_missing_path_is_usage_error(self, tmp_path):
-        assert run(["lint", tmp_path / "absent",
-                    "--baseline", tmp_path / "b.json"]) == 2
-
-
-CONFUSED_SOURCE = (
-    "def latency(sched, arrival):\n"
-    "    arrival_u = sched.useful(arrival)\n"
-    "    start = sched.wall(arrival_u, begin=True)\n"
-    "    return start < arrival_u\n"
-)
-
-
-class TestDomainsCommand:
-    @pytest.fixture
-    def confused_tree(self, tmp_path):
-        pkg = tmp_path / "src" / "repro" / "simulator"
-        pkg.mkdir(parents=True)
-        (pkg / "confused.py").write_text(CONFUSED_SOURCE)
-        return tmp_path
-
-    def test_confusion_exits_nonzero_with_trace(self, confused_tree, capsys):
-        code = run(["domains", confused_tree, "--root", confused_tree,
-                    "--baseline", confused_tree / "b.json"])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "domain-confusion" in out
-        assert "step 0: line" in out  # the dataflow trace is printed
-
-    def test_json_carries_trace(self, confused_tree, capsys):
-        run(["domains", confused_tree, "--root", confused_tree,
-             "--baseline", confused_tree / "b.json", "--json"])
-        data = json.loads(capsys.readouterr().out)
-        assert data["rules"] == ["domain-confusion"]
-        (finding,) = data["findings"]
-        assert finding["trace"]
-        assert finding["trace"][0].startswith("step 0: line ")
-
-    def test_only_the_domain_rule_runs(self, tree, capsys):
-        # the wall-clock violation in the shared fixture is invisible
-        assert run(["domains", tree, "--root", tree,
-                    "--baseline", tree / "b.json"]) == 0
-        assert "0 new finding(s)" in capsys.readouterr().out
-
-    def test_write_baseline_then_clean(self, confused_tree, capsys):
-        baseline = confused_tree / "b.json"
-        assert run(["domains", confused_tree, "--root", confused_tree,
-                    "--baseline", baseline, "--write-baseline"]) == 0
-        capsys.readouterr()
-        assert run(["domains", confused_tree, "--root", confused_tree,
-                    "--baseline", baseline]) == 0
-
-    def test_repo_tree_is_clean(self, capsys):
-        assert run(["domains", "src", "--root", "."]) == 0
+        assert run(["lint", tmp_path / "absent"]) == 2
 
 
 class TestUsageErrors:

@@ -22,6 +22,7 @@ from repro.core.simulator import EpochSimulator
 from repro.dram.bank import Bank
 from repro.dram.refresh import RefreshSchedule
 from repro.errors import ConfigError
+from repro.migration.algorithms import CopyStep
 from repro.units import KB, MB
 
 from .conftest import synthetic_trace
@@ -172,6 +173,17 @@ class TestBankRefresh:
         _, finish, _ = bank.access(row=1, arrival=1801)
         assert finish == 1948 + 148 + 100           # second request crosses
 
+    def test_queue_wait_cap_is_on_the_useful_clock(self):
+        """The finite-queue cap bounds the wait in *useful* cycles: an
+        arrival at 1500 (useful 1400) behind a bank busy until 10 000
+        starts at useful 1400 + 50, i.e. wall 1550. Capping on the wall
+        clock instead would start it at useful 1550, wall 1750."""
+        bank = Bank(DramTiming(refresh_interval=1000, refresh_cycles=100,
+                               max_queue_wait=50))
+        bank.ready_time = 10_000
+        start, _, _ = bank.access(row=0, arrival=1500)
+        assert start == 1550
+
     def test_far_from_windows_matches_refresh_free_bank(self):
         plain = Bank(DramTiming())
         refreshed = Bank(_timing())
@@ -225,6 +237,19 @@ class TestSimulatorWiring:
         sim = EpochSimulator(_cfg(refresh=False))
         assert sim.engine.offpkg_refresh is None
         assert sim.engine.onpkg_refresh is None
+
+    def test_copy_before_a_window_is_stretched_by_it(self):
+        """A slot-to-slot copy starting 10 cycles before an on-package
+        tREFI window is suspended for the whole tRFC."""
+        engine = EpochSimulator(_cfg(refresh=True)).engine
+        sched = engine.onpkg_refresh
+        step = CopyStep("slot 1 -> slot 0", 64 * KB, cross_boundary=False,
+                        src=("slot", 1), dst=("slot", 0))
+        base = engine._copy_cycles(step)
+        start = sched.interval - 10
+        duration = engine._copy_duration(start, step)
+        assert duration == sched.stretch(start, base)
+        assert duration == base + sched.window
 
     def test_refresh_is_a_pure_tax_without_migration(self):
         trace = synthetic_trace(n=20_000, footprint=12 * MB, seed=7)
