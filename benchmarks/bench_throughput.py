@@ -18,11 +18,11 @@ Two entry points share one workload definition:
 Measured paths (schema 2):
 
 * ``fast_dram_model`` — the raw vectorised DRAM device service loop;
-* ``epoch_simulator_fused`` — the epoch loop (one DRAM flush per
-  chunk) on the standard hot/uniform mix (migration on);
+* ``epoch_simulator_fused`` — the epoch loop (deferred DRAM flushes
+  of whole-epoch blocks) on the standard hot/uniform mix (migration on);
 * ``epoch_simulator_fused_migrating`` — the same loop under a
   *drifting* hot set that keeps a SwapPlan in flight for most epochs;
-  asserts the chunk flush covered every epoch (``stepwise_epochs == 0``)
+  asserts the deferred flush covered every epoch (``stepwise_epochs == 0``)
   so a regression to per-epoch flushing fails loudly rather than
   showing up as a silent slowdown.
 """
@@ -86,7 +86,7 @@ def _trace_migrating(n, seed=0):
 def _run_fused_migrating(trace):
     res = HeterogeneousMainMemory(_cfg()).run(trace)
     # machine-independent invariants, checked on every measurement: the
-    # workload actually migrates, and the chunk flush covered every epoch
+    # workload actually migrates, and the deferred flush covered every epoch
     assert res.swaps_triggered > 0, "migrating benchmark stopped migrating"
     assert res.stepwise_epochs == 0 and res.fused_epochs > 0, (
         "migration-active epochs were flushed one at a time"

@@ -341,7 +341,7 @@ class RASConfig:
     predictive page retirement, and off-package write-endurance.
 
     Everything defaults off (``enabled=False``); the simulator's default
-    path — including its once-per-chunk DRAM flush and every published
+    path — including its deferred block DRAM flush and every published
     number — is bit-identical unless a run opts in. With
     ``enabled=True`` the simulator flushes every epoch and attaches a
     :class:`~repro.ras.controller.RasController`.

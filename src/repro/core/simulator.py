@@ -6,11 +6,12 @@ translation via the table's dense mirrors and region split, with
 per-access-time overrides for the (at most one) in-flight migration.
 At each epoch boundary the migration engine evaluates the
 hottest-coldest trigger. Latency never feeds back into that control
-pass, so DRAM service is deferred to one segmented flush per trace
-chunk — unless a boundary hook reads device state or the epoch's
-finished latency, in which case each epoch is flushed at its own
-boundary. The config alone decides which (see
-:meth:`EpochSimulator._run_epochs`).
+pass, so DRAM service is deferred and flushed in blocks of whole epochs,
+one segmented flush each time the unflushed accesses reach
+:data:`FLUSH_BLOCK_ACCESSES` and one at the end of the chunk — unless a
+boundary hook reads device state or the epoch's finished latency, in
+which case each epoch is flushed at its own boundary. The config alone
+decides which (see :meth:`EpochSimulator._run_epochs`).
 
 Resilience hooks (all governed by :class:`~repro.config.ResilienceConfig`
 and off by default) run at the same boundary: seeded fault injection via
@@ -48,6 +49,13 @@ from ..resilience.faults import EccModel, FaultKind, FaultPlan
 from ..trace.record import TraceChunk
 from ..units import log2_exact
 
+#: accesses per deferred DRAM flush; a flush ends at the first epoch
+#: boundary at or past it, and an epoch longer than this is flushed
+#: whole. One flush makes about ten full-width int64 temporaries: at
+#: 2**15 accesses each is 256 KB, so the set stays near a 2 MB L2 and
+#: is recycled from the heap, where whole-chunk temporaries (MBs each)
+#: are freshly mapped and page-faulted on every flush.
+FLUSH_BLOCK_ACCESSES = 1 << 15
 
 @dataclass
 class SimulationResult:
@@ -66,9 +74,9 @@ class SimulationResult:
     cross_boundary_migrated_bytes: int = 0
     #: per-epoch mean latency series (for convergence plots)
     epoch_latency: list[float] = field(default_factory=list)
-    #: how each epoch's DRAM service ran: in the chunk's one
-    #: multi-epoch flush, or flushed at the epoch's own boundary because
-    #: RAS, row disturbance or the watchdog reads device state there
+    #: how each epoch's DRAM service ran: in a deferred multi-epoch
+    #: block flush, or flushed at the epoch's own boundary because RAS,
+    #: row disturbance or the watchdog reads device state there
     fused_epochs: int = 0
     stepwise_epochs: int = 0
     #: row-buffer hit rates observed by each region's device
@@ -298,13 +306,16 @@ class EpochSimulator:
         Each epoch runs its control pass in order: fault plan, routing
         (:meth:`~repro.memctrl.heterogeneous.HeterogeneousController.prepare_into`:
         resolution, shadow memory, stall and interference), ECC, audit,
-        monitor fold and swap trigger. DRAM servicing is deferred to one
-        segmented flush per chunk whose segments are the epoch
-        boundaries. That is exact because latency never feeds back into
-        control flow and
-        :meth:`~repro.dram.fastmodel.FastDevice.service_segmented` is
-        exact per segment. When a boundary hook reads device state or
-        the epoch's finished latency (RAS, row disturbance, the watchdog)
+        monitor fold and swap trigger. DRAM servicing is deferred: at
+        the first epoch boundary where the unflushed accesses reach
+        :data:`FLUSH_BLOCK_ACCESSES`, and at the end of the chunk, the
+        unflushed epochs go through one segmented flush whose segments
+        are their boundaries. An epoch is never split across flushes.
+        That is exact because latency never feeds back into control
+        flow and :meth:`~repro.dram.fastmodel.FastDevice.service_segmented`
+        is exact per segment, so any grouping of whole epochs gives the
+        same numbers. When a boundary hook reads device state or the
+        epoch's finished latency (RAS, row disturbance, the watchdog)
         each epoch is flushed at its own boundary instead, before the
         hooks run.
         """
@@ -331,11 +342,12 @@ class EpochSimulator:
         machine_all = np.empty(n, dtype=np.int64)
         extra = np.zeros(n, dtype=np.int64)  # stall + interference cycles
 
-        epoch_starts = np.arange(0, n, interval, dtype=np.int64)
+        n_epochs = -(-n // interval)
         if self._flush_each_epoch:
-            result.stepwise_epochs += int(epoch_starts.shape[0])
+            result.stepwise_epochs += n_epochs
         else:
-            result.fused_epochs += int(epoch_starts.shape[0])
+            result.fused_epochs += n_epochs
+        flushed = 0  # accesses [0, flushed) have been serviced
         for start in range(0, n, interval):
             ep = slice(start, min(start + interval, n))
             tview = times_all[ep]
@@ -433,13 +445,21 @@ class EpochSimulator:
                     result.swaps_triggered += 1
             self._last_time = int(tview[-1])
 
-        if not self._flush_each_epoch:
-            # every region services the chunk in one segmented call
-            latency = self.controller.service_resolved(
-                on_all, machine_all, offsets_all, eff_times, epoch_starts,
-                extra,
-            )
-            _tally(result, latency, on_all, epoch_starts)
+            if not self._flush_each_epoch and (
+                ep.stop - flushed >= FLUSH_BLOCK_ACCESSES or ep.stop == n
+            ):
+                # every region services the unflushed epochs in one
+                # segmented call; blocks start on epoch boundaries
+                blk = slice(flushed, ep.stop)
+                seg_starts = np.arange(
+                    0, ep.stop - flushed, interval, dtype=np.int64
+                )
+                latency = self.controller.service_resolved(
+                    on_all[blk], machine_all[blk], offsets_all[blk],
+                    eff_times[blk], seg_starts, extra[blk],
+                )
+                _tally(result, latency, on_all[blk], seg_starts)
+                flushed = ep.stop
 
     # ------------------------------------------------------------------
     # resilience hooks

@@ -56,7 +56,7 @@ a time (``tests/shadow_reference.py`` keeps that loop as the oracle).
 
 The shadow is pure bookkeeping: it never influences routing, timing or
 any simulated number. ``EpochSimulator(track_data=True)`` wires it in,
-and the run keeps its once-per-chunk DRAM flush; the default leaves
+and the run keeps its deferred block DRAM flush; the default leaves
 every code path byte-identical.
 """
 

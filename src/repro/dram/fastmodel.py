@@ -118,6 +118,8 @@ class FastDevice:
         if seg_starts.size == 0 or seg_starts[0] != 0:
             raise SimulationError("seg_starts must begin with 0")
         if seg_starts.size == 1:
+            if assume_monotone:
+                return self._service_core(addr, arrivals, None)
             return self.service(addr, arrivals)
         if assume_monotone or not bool(np.any(np.diff(arrivals) < 0)):
             seg_of = np.repeat(

@@ -11,10 +11,10 @@ migration story must survive refresh intact.
 
 The per-design x per-mode grid fans out through the campaign
 supervisor (``repro-experiments refresh --jobs N --manifest PATH``
-resumes like ``table4``). The simulations flush DRAM once per chunk:
-the time-warp refresh model commutes with segment boundaries, so that
-flush and the stepwise reference loop agree bit-for-bit (see
-``tests/test_fused_equivalence.py``).
+resumes like ``table4``). The simulations defer DRAM service to
+flushes of whole-epoch blocks: the time-warp refresh model commutes
+with segment boundaries, so those flushes and the stepwise reference
+loop agree bit-for-bit (see ``tests/test_fused_equivalence.py``).
 """
 
 from __future__ import annotations

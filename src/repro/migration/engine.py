@@ -55,9 +55,12 @@ from .policies import EpochMonitor
 from .recovery import recovery_plan
 from .table import EMPTY, TranslationTable
 
-#: largest page space for which the epoch fold uses dense (bincount)
-#: aggregation; bigger configurations keep the sort-based np.unique pass
+#: the epoch fold aggregates densely (a bincount over the whole page
+#: space) only for page spaces of at most _DENSE_FOLD_PAGES pages that
+#: are also at most _DENSE_FOLD_RATIO times the epoch's off-package
+#: accesses; otherwise one stable argsort of the accesses costs less
 _DENSE_FOLD_PAGES = 1 << 16
+_DENSE_FOLD_RATIO = 8
 
 
 @dataclass(frozen=True)
@@ -234,25 +237,38 @@ class MigrationEngine:
         if off.size:
             off_times = np.asarray(off_times, dtype=np.int64)
             n_total = self.amap.n_total_pages
-            # dense fold for small page spaces: np.flatnonzero of the
-            # count vector is exactly np.unique's sorted page list, and
-            # with non-decreasing epoch times the *last* write per page
-            # is the per-page maximum that np.maximum.at computes —
-            # both checked, so the sorting fallback stays bit-identical
-            dense = n_total <= _DENSE_FOLD_PAGES and bool(
-                (off_times[1:] >= off_times[:-1]).all()
-            )
-            if dense:
-                counts_dense = np.bincount(off, minlength=n_total)
-                pages = np.flatnonzero(counts_dense)
-                counts = counts_dense[pages]
-                scratch = self._fold_scratch
-                if scratch is None or scratch.shape[0] != n_total:
-                    scratch = self._fold_scratch = np.zeros(
-                        n_total, dtype=np.int64
+            if bool((off_times[1:] >= off_times[:-1]).all()):
+                # non-decreasing epoch times: the per-page last touch is
+                # the time at the page's last occurrence, and both folds
+                # below find that occurrence (last_idx) directly
+                if n_total <= min(
+                    _DENSE_FOLD_PAGES, _DENSE_FOLD_RATIO * off.shape[0]
+                ):
+                    # np.flatnonzero of the count vector is exactly
+                    # np.unique's sorted page list; a scatter's last
+                    # write per page is its last occurrence
+                    counts_dense = np.bincount(off, minlength=n_total)
+                    pages = np.flatnonzero(counts_dense)
+                    counts = counts_dense[pages]
+                    scratch = self._fold_scratch
+                    if scratch is None or scratch.shape[0] != n_total:
+                        scratch = self._fold_scratch = np.zeros(
+                            n_total, dtype=np.int64
+                        )
+                    scratch[off] = np.arange(off.shape[0], dtype=np.int64)
+                    last_idx = scratch[pages]
+                else:
+                    # a stable sort keeps each page's occurrences in
+                    # order, so each run of equal pages ends at its last
+                    order = np.argsort(off, kind="stable")
+                    by_page = off[order]
+                    ends = np.flatnonzero(
+                        np.append(by_page[1:] != by_page[:-1], True)
                     )
-                scratch[off] = off_times
-                last = scratch[pages]
+                    pages = by_page[ends]
+                    counts = np.diff(ends, prepend=-1)
+                    last_idx = order[ends]
+                last = off_times[last_idx]
             else:
                 # one unique pass shared between the monitor's frequency
                 # aggregation and the critical-block recency bookkeeping
@@ -261,16 +277,12 @@ class MigrationEngine:
                 )
                 last = np.zeros(pages.shape[0], dtype=np.int64)
                 np.maximum.at(last, inverse, off_times)
+                last_idx = np.zeros(pages.shape[0], dtype=np.int64)
+                last_idx[inverse] = np.arange(off.shape[0])
             self.monitor.fold_epoch(slots, slot_times, pages, counts, last)
             if off_subblocks is not None:
                 self._last_sb_pages = pages
-                if dense:
-                    scratch[off] = np.arange(off.shape[0], dtype=np.int64)
-                    self._last_sb_vals = np.asarray(off_subblocks)[scratch[pages]]
-                else:
-                    last_idx = np.zeros(pages.shape[0], dtype=np.int64)
-                    last_idx[inverse] = np.arange(off.shape[0])
-                    self._last_sb_vals = np.asarray(off_subblocks)[last_idx]
+                self._last_sb_vals = np.asarray(off_subblocks)[last_idx]
             else:
                 self._last_sb_pages = None
                 self._last_sb_vals = None

@@ -120,14 +120,19 @@ class EpochMonitor:
         lowest slot id among ties."""
         touch = self.slot_last_touch
         if not exclude:
+            # argmin returns the first of equal minima: the lowest slot id
             return int(np.argmin(touch))
-        allowed = np.ones(self.n_slots, dtype=bool)
-        allowed[[s for s in exclude if 0 <= s < self.n_slots]] = False
-        candidates = np.flatnonzero(allowed)
-        if candidates.size == 0:
+        masked = sorted({s for s in exclude if 0 <= s < self.n_slots})
+        if len(masked) == self.n_slots:
             raise MigrationError("all slots excluded")
-        # argmin returns the first of equal minima: the lowest slot id
-        return int(candidates[np.argmin(touch[candidates])])
+        # mask in place rather than gather the allowed slots: touch
+        # times never reach int64 max, so no masked slot can win
+        saved = touch[masked]
+        touch[masked] = np.iinfo(np.int64).max
+        try:
+            return int(np.argmin(touch))
+        finally:
+            touch[masked] = saved
 
     def hottest_page(self, wear_penalty=None) -> tuple[int, int] | None:
         """``(page, epoch_count)`` of the hottest off-package page.

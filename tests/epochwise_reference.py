@@ -4,7 +4,8 @@ This is the epoch loop as a plain stepwise loop: each epoch is resolved
 and serviced through each region's device on its own, with one
 ``LatencyModel.access_latency`` call per region, and every boundary hook
 then runs on that epoch's finished latency. The production loop defers
-DRAM service to one segmented flush per chunk (or per epoch, when a
+DRAM service to segmented flushes of whole-epoch blocks of about
+``FLUSH_BLOCK_ACCESSES`` accesses (or flushes each epoch, when a
 boundary hook reads device state) through
 ``HeterogeneousController.service_resolved``; this module shares none
 of that flush code. ``tests/test_fused_equivalence.py`` drives both

@@ -144,7 +144,7 @@ class TestCleanDifferential:
     def test_track_data_does_not_change_the_numbers(self, traces):
         """The shadow is pure bookkeeping: every simulated figure is
         bit-identical with and without it, the flush counters included
-        (a tracked run keeps the per-chunk flush)."""
+        (a tracked run keeps the deferred block flush)."""
         trace = traces["live"]
         plain = repro.EpochSimulator(config("live")).run(trace)
         _, tracked = run_tracked(config("live"), trace)
@@ -153,11 +153,16 @@ class TestCleanDifferential:
         assert a == b
         assert tracked.stepwise_epochs == 0 and tracked.fused_epochs > 0
 
-    def test_track_data_keeps_the_chunk_flush(self, traces):
-        """Fed in chunks that cut epochs, a tracked run still flushes
-        DRAM once per chunk, with the same numbers as an untracked one."""
+    def test_track_data_keeps_the_chunk_flush(self, traces, monkeypatch):
+        """Fed in chunks that cut epochs, a tracked run still defers DRAM
+        service to block flushes, with the same numbers as an untracked
+        one."""
+        # a 500-access block is two 250-access epochs: the chunks of 333,
+        # 867 and 800 accesses flush after 333 | 500, 367 | 500, 300
+        monkeypatch.setattr("repro.core.simulator.FLUSH_BLOCK_ACCESSES", 500)
         trace = traces["live"]
         bounds = [0, 333, 1200, len(trace)]
+        assert len(trace) == 2_000 and INTERVAL == 250
         results = []
         for track_data in (False, True):
             sim = repro.EpochSimulator(config("live"), track_data=track_data)
@@ -169,7 +174,7 @@ class TestCleanDifferential:
             result = repro.SimulationResult()
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 sim.run_into(trace[lo:hi], result)
-            assert len(flushes) == len(bounds) - 1
+            assert len(flushes) == 5
             results.append(dataclasses.asdict(result))
         plain, tracked = results
         plain.pop("data_violations"), tracked.pop("data_violations")

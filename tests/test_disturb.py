@@ -363,8 +363,9 @@ class TestFaultsAndState:
 
     def test_neutral_thresholds_are_bit_identical_to_disabled(self):
         """An armed controller that never alerts must not change a
-        single number (and the disabled config flushes once per chunk,
-        so this doubles as a per-epoch-vs-per-chunk flush check)."""
+        single number (and the disabled config defers its flush to
+        multi-epoch blocks, so this doubles as a per-epoch-vs-block
+        flush check)."""
         trace = _hammer_trace(8)
         quiet = EpochSimulator(_cfg(act_threshold=10**6)).run(trace)
         off = EpochSimulator(_cfg().with_disturb(enabled=False)).run(trace)

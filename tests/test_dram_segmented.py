@@ -16,6 +16,7 @@ import pytest
 from repro.config import DramTiming, offpkg_dram_timing
 from repro.dram.fastmodel import FastDevice
 from repro.dram.timing import DramGeometry
+from repro.errors import SimulationError
 
 
 def _timing(refresh: bool, **kwargs) -> DramTiming:
@@ -126,3 +127,32 @@ def test_backwards_arrivals_replay():
     np.testing.assert_array_equal(got, want)
     _assert_same_state(fused, twin)
     assert fused.segmented_replays == 1
+
+
+def test_single_segment_matches_service():
+    rng = np.random.default_rng(11)
+    geo = DramGeometry(_timing(True, max_queue_wait=8))
+    fused, checked, twin = FastDevice(geo), FastDevice(geo), FastDevice(geo)
+    addr, arrivals = _workload(rng, 500)
+    one = np.zeros(1, dtype=np.int64)
+    want = twin.service(addr, arrivals)
+    got = fused.service_segmented(addr, arrivals, one, assume_monotone=True)
+    np.testing.assert_array_equal(got, want)
+    _assert_same_state(fused, twin)
+    np.testing.assert_array_equal(
+        checked.service_segmented(addr, arrivals, one), want
+    )
+    _assert_same_state(checked, twin)
+
+
+def test_backwards_single_segment_raises():
+    # one segment has no boundary to replay across: a caller that does
+    # not assume monotone arrivals gets service()'s check
+    rng = np.random.default_rng(5)
+    addr, arrivals = _workload(rng, 400)
+    back = arrivals.copy()
+    back[200:] -= back[200] - back[50]
+    dev = FastDevice(DramGeometry(_timing(False)))
+    with pytest.raises(SimulationError, match="non-decreasing"):
+        dev.service_segmented(addr, back, np.zeros(1, dtype=np.int64))
+    assert dev.row_hits == dev.row_conflicts == 0

@@ -108,6 +108,46 @@ class TestTrigger:
         assert not d.triggered
 
 
+class TestEpochFold:
+    """The dense fold, the sorted fold and the non-monotone fallback
+    all give every touched page's count, last-touch time and last
+    sub-block, exactly as a plain per-access walk does."""
+
+    @staticmethod
+    def _reference(pages, times, subblocks):
+        fold = {}
+        for p, t, sb in zip(pages.tolist(), times.tolist(), subblocks.tolist()):
+            count, last, _ = fold.get(p, (0, t, 0))
+            fold[p] = (count + 1, max(last, t), sb)
+        return fold
+
+    @pytest.mark.parametrize("ratio", [0, 1 << 20], ids=["sorted", "dense"])
+    @pytest.mark.parametrize("monotone", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_folds_agree(self, monkeypatch, ratio, monotone, seed):
+        monkeypatch.setattr("repro.migration.engine._DENSE_FOLD_RATIO", ratio)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 200))
+        pages = rng.integers(N_SLOTS, 4 * N_SLOTS, n).astype(np.int64)
+        times = np.cumsum(rng.integers(0, 3, n)).astype(np.int64)
+        if not monotone:
+            times = rng.permutation(times)
+        subblocks = rng.integers(0, 16, n).astype(np.int64)
+        e = make_engine()
+        e.observe_epoch(
+            slots=np.array([], dtype=np.int64),
+            slot_times=np.array([], dtype=np.int64),
+            offpkg_pages=pages, off_times=times, off_subblocks=subblocks,
+        )
+        want = self._reference(pages, times, subblocks)
+        m = e.monitor
+        assert m._off_pages.tolist() == sorted(want)
+        assert m._off_counts.tolist() == [want[p][0] for p in sorted(want)]
+        assert m._off_last.tolist() == [want[p][1] for p in sorted(want)]
+        for p, (_, _, sb) in want.items():
+            assert e._mru_first_subblock(p) == sb
+
+
 class TestScheduling:
     def test_timeline_starts_with_pre_swap_state(self):
         e = make_engine()

@@ -1,8 +1,10 @@
 """The epoch loop must be bit-identical to the stepwise reference loop.
 
-Production defers all DRAM servicing to one segmented flush per chunk,
-or flushes each epoch at its boundary when RAS, row disturbance or the
-watchdog reads device state there. ``tests/epochwise_reference.py``
+Production defers DRAM servicing and flushes it in blocks of whole
+epochs: one segmented flush at the first epoch boundary where the
+unflushed accesses reach ``FLUSH_BLOCK_ACCESSES``, and one at the end of
+the chunk. It flushes each epoch at its boundary instead when RAS, row
+disturbance or the watchdog reads device state there. ``tests/epochwise_reference.py``
 keeps the stepwise loop, with its own per-region device path, as the
 oracle. These tests pin the contract: not a single simulated number may
 change — total latency, the full ``epoch_latency`` series, swap
@@ -12,6 +14,7 @@ implies.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -23,7 +26,12 @@ from repro.config import (
     onpkg_dram_timing,
 )
 from repro.core.hetero_memory import HeterogeneousMainMemory
-from repro.core.simulator import EpochSimulator, SimulationResult
+from repro.core import simulator
+from repro.core.simulator import (
+    FLUSH_BLOCK_ACCESSES,
+    EpochSimulator,
+    SimulationResult,
+)
 from repro.errors import WatchdogError
 from repro.experiments import chaos_soak, hammer_soak
 from repro.resilience import FaultEvent, FaultKind, FaultPlan
@@ -34,6 +42,29 @@ from repro.units import KB, MB
 from .epochwise_reference import EpochwiseSimulator
 
 ALGORITHMS = ("N", "N-1", "live")
+
+#: flush-block sizes the equivalence is checked at besides the default:
+#: one access, and an odd size that never lines up with an epoch
+PATCHED_BLOCKS = (1, 37)
+
+
+def with_blocks(cells):
+    """``cells`` (tuples of parameters) crossed with the flush-block
+    size: ``None`` keeps the default block and the cell's plain id."""
+    params = []
+    for cell in cells:
+        cell_id = "-".join(cell)
+        params.append(pytest.param(*cell, None, id=cell_id))
+        params.extend(
+            pytest.param(*cell, block, id=f"{cell_id}-block{block}")
+            for block in PATCHED_BLOCKS
+        )
+    return params
+
+
+def set_block(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(simulator, "FLUSH_BLOCK_ACCESSES", block)
 
 
 def _trace(n=60_000, seed=0, writes=True):
@@ -149,9 +180,9 @@ def _epoch_budget(cfg, trace, quantile):
 class TestBoundaryHooks:
     """Every boundary hook against the reference, per design.
 
-    The shadow memory, fault plans and audits keep the per-chunk flush;
-    the watchdog, RAS and row disturbance flush every epoch, before
-    their hooks read the devices or the epoch's latency.
+    The shadow memory, fault plans and audits keep the deferred block
+    flush; the watchdog, RAS and row disturbance flush every epoch,
+    before their hooks read the devices or the epoch's latency.
     """
 
     VARIANTS = ("track_data", "track_data-chunked", "faults-audit",
@@ -230,8 +261,11 @@ class TestBoundaryHooks:
 
 
 class TestAlgorithms:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_bit_identical(self, algorithm):
+    @pytest.mark.parametrize(
+        "algorithm, block", with_blocks((a,) for a in ALGORITHMS)
+    )
+    def test_bit_identical(self, monkeypatch, algorithm, block):
+        set_block(monkeypatch, block)
         cfg = _cfg(algorithm=algorithm)
         r = assert_identical(cfg, _trace())
         assert r.swaps_triggered > 0  # exercise the migration machinery
@@ -265,8 +299,8 @@ class TestVariants:
         assert_identical(_cfg(swap_interval=25_000), _trace())
 
     def test_tiny_queue_wait_forces_fallback(self):
-        # a tiny cap binds at interior segment boundaries, so the chunk
-        # flush must carry the capped backlog from block to block
+        # a tiny cap binds at interior segment boundaries, so the
+        # deferred flush must carry the capped backlog from block to block
         # instead of propagating the uncapped departure — results must
         # still be identical, with no per-segment replay
         base = _cfg()
@@ -280,8 +314,40 @@ class TestVariants:
         assert_identical(cfg, make_chunk([0, 4096, 8192]))
 
 
+class TestBlockCadence:
+    """Where the deferred flushes fall: at the first epoch boundary
+    where the unflushed accesses reach the block, never inside an
+    epoch, and at the end of the chunk."""
+
+    @staticmethod
+    def _flushes(cfg, trace):
+        sim = EpochSimulator(cfg)
+        flushes = []
+        service = sim.controller.service_resolved
+
+        def record(on, machine, offsets, times, seg_starts, extra):
+            flushes.append((on.shape[0], seg_starts.tolist()))
+            return service(on, machine, offsets, times, seg_starts, extra)
+
+        sim.controller.service_resolved = record
+        sim.run(trace)
+        return flushes
+
+    def test_flushes_at_the_first_epoch_boundary_past_the_block(self):
+        assert FLUSH_BLOCK_ACCESSES == 32_768
+        flushes = self._flushes(_cfg(swap_interval=1_000), _trace(n=60_000))
+        assert flushes == [
+            (33_000, list(range(0, 33_000, 1_000))),
+            (27_000, list(range(0, 27_000, 1_000))),
+        ]
+
+    def test_an_epoch_longer_than_the_block_is_flushed_whole(self):
+        flushes = self._flushes(_cfg(swap_interval=50_000), _trace(n=60_000))
+        assert flushes == [(50_000, [0]), (10_000, [0])]
+
+
 class TestMigrationActive:
-    """Epochs with an active SwapPlan must ride the chunk flush.
+    """Epochs with an active SwapPlan must ride the deferred flush.
 
     The matrix crosses the three paper algorithms with write traffic,
     OS-assisted translation, a one-shot abort mid-plan, and refresh on
@@ -289,6 +355,7 @@ class TestMigrationActive:
     pins bit-identical ``epoch_latency`` *and* ``stepwise_epochs == 0``
     on the production run — a regression that flushes migration-active
     epochs one at a time fails here, not just in the throughput numbers.
+    Each cell runs at the default flush block and at ``PATCHED_BLOCKS``.
     """
 
     VARIANTS = ("writes", "os-assisted", "abort", "refresh")
@@ -309,16 +376,19 @@ class TestMigrationActive:
             arm = lambda mem: mem.engine.inject_abort(1)
         return cfg, _trace(writes=variant == "writes"), arm
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_matrix(self, algorithm, variant):
+    @pytest.mark.parametrize(
+        "algorithm, variant, block",
+        with_blocks(itertools.product(ALGORITHMS, VARIANTS)),
+    )
+    def test_matrix(self, monkeypatch, algorithm, variant, block):
+        set_block(monkeypatch, block)
         cfg, trace, arm = self._cell(algorithm, variant)
         r = assert_identical(cfg, trace, arm=arm)
         assert r.swaps_triggered > 0
         assert r.data_violations == 0
         if variant != "os-assisted":
             # plans span epoch boundaries (a later trigger found the
-            # previous one still in flight): the chunk flush covered
+            # previous one still in flight): the deferred flush covered
             # epochs with P/F bits live, not just plan-free epochs
             assert r.swaps_suppressed_busy > 0
 
@@ -335,7 +405,7 @@ class TestMigrationActive:
 class TestRefresh:
     """The tREFI/tRFC time warp is a pure function of global time, so
     it must commute with segment boundaries: enabling refresh keeps the
-    chunk flush bit-identical while exercising mid-service suspensions
+    deferred flush bit-identical while exercising mid-service suspensions
     and refresh-stretched migration copies."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -377,7 +447,7 @@ class TestRefresh:
 
 
 class TestMultiTenant:
-    """A tenant-tagged interleaved stream must keep the chunk flush:
+    """A tenant-tagged interleaved stream must keep the deferred flush:
     window translation, QoS constraints and per-tenant attribution ride
     on ``run_into`` and may not perturb the epoch loop."""
 

@@ -10,6 +10,7 @@ from repro.core.hetero_memory import HeterogeneousMainMemory, baseline_latency
 from repro.core.metrics import EffectivenessReport, effectiveness, traffic_reduction
 from repro.core.simulator import EpochSimulator
 from repro.errors import SimulationError
+from repro.migration.table import EMPTY
 from repro.trace.record import make_chunk
 from repro.units import KB, MB
 
@@ -183,3 +184,37 @@ class TestDetailedCrossValidation:
         fast = HeterogeneousMainMemory(c).run(trace)
         slow = DetailedSimulator(c).run(trace)
         assert abs(fast.onpkg_fraction - slow.onpkg_fraction) < 0.15
+
+
+class TestDetailedSwapChoice:
+    @pytest.mark.parametrize("algorithm", ["N", "N-1", "live"])
+    def test_demotes_the_migrated_page_in_the_coldest_slot(self, algorithm):
+        """A later swap whose coldest slot holds a migrated page (its id
+        is not the slot id) demotes that page, not the slot's home page."""
+        page = 1 * MB
+        c = cfg(algorithm, page=page, interval=64)
+        sim = DetailedSimulator(c)
+
+        def epoch(pages, t0):
+            pages = np.resize(np.asarray(pages, dtype=np.int64), 64)
+            return make_chunk(pages * page, time=t0 + 10 * np.arange(64))
+
+        first, second = 20, 21  # off-package pages
+        sim.run(epoch([first], 0))
+        sim._drain_events(10**8)  # the first swap lands
+        slot = sim.table.slot_of(first)
+        assert slot is not None and slot != first
+        # touch every other resident page, so the slot holding `first`
+        # is the only cold one, and make `second` the hottest page
+        residents = [
+            int(p) for s, p in enumerate(sim.table.pair.tolist())
+            if s != slot and p != EMPTY
+        ]
+        sim.run(epoch(residents + [second] * (2 * len(residents)), 10**8))
+        sim._drain_events(10**10)
+        assert sim.swaps_triggered == 2
+        assert sim.table.slot_of(first) is None
+        assert sim.table.slot_of(second) is not None
+        assert sorted(sim.table.resident_pages().tolist()) == sorted(
+            residents + [second]
+        )
